@@ -35,8 +35,8 @@ impl DetectionRecord {
             block: d.block,
             month: index.month_of(d.block)?.to_string(),
             extractor: d.extractor.to_string(),
-            tx_hashes: d.tx_hashes.iter().map(|h| h.to_string()).collect(),
-            victim: d.victim.map(|v| v.to_string()),
+            tx_hashes: d.tx_hashes.iter().map(|h| h.to_hex()).collect(),
+            victim: d.victim.map(|v| v.to_hex()),
             gross_eth: d.gross_wei as f64 / 1e18,
             costs_eth: d.costs_wei as f64 / 1e18,
             profit_eth: d.profit_wei as f64 / 1e18,

@@ -298,9 +298,9 @@ fn cycle_commit_bytes_do_not_grow_with_history() {
         let rewritten = before.iter().any(|(name, &(len, ino))| {
             !matches!(after.get(name), Some(&(now, now_ino)) if now >= len && now_ino == ino)
         });
-        let sealed = after.keys().any(|name| {
-            !before.contains_key(name) && name.ends_with(".idx") && !name.ends_with(".tail.idx")
-        });
+        let sealed = after
+            .keys()
+            .any(|name| !before.contains_key(name) && name.ends_with(".idx"));
         let append_only = !rewritten && !sealed;
         let bytes: u64 = after
             .iter()

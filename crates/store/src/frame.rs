@@ -82,12 +82,21 @@ pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
 
 /// Serialize a frame into `out`. Returns the frame's total encoded size.
 pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> u64 {
-    let len = payload.len() as u32;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    let start = out.len();
+    out.resize(start + FRAME_HEADER_BYTES as usize, 0);
     out.extend_from_slice(payload);
-    FRAME_HEADER_BYTES + payload.len() as u64
+    seal_frame(&mut out[start..], kind)
+}
+
+/// Fill in the header of the frame in `frame`: its payload follows
+/// [`FRAME_HEADER_BYTES`] reserved bytes, so a payload encoded straight
+/// into a buffer is framed where it lies. Returns the frame's total size.
+pub fn seal_frame(frame: &mut [u8], kind: u8) -> u64 {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES as usize);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4] = kind;
+    header[5..].copy_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    frame.len() as u64
 }
 
 /// A decoded frame with its position in the file.

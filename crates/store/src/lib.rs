@@ -8,15 +8,14 @@
 //! once, then re-open, re-query, and incrementally re-detect across
 //! processes and runs.
 //!
-//! ## Format (version 4)
+//! ## Format (version 5)
 //!
 //! ```text
 //! <root>/
 //!   MANIFEST               snapshot frame, then one delta frame per commit since it
 //!   seg-00000.seg          fixed-span segments of frames
 //!   seg-00000.idx          sealed segment's sidecar index (postings + rows)
-//!   seg-00001.seg          the open tail segment
-//!   seg-00001.tail.idx     the tail's appended sidecar runs
+//!   seg-00001.seg          the open tail segment (no sidecar)
 //!   ...
 //! ```
 //!
@@ -45,10 +44,11 @@
 //!   the binary codec; version 3 added the manifest journal and the
 //!   appended tail sidecar runs (`IndexMeta::offset`); version 4 made the
 //!   manifest one codec snapshot-and-delta file, `MANIFEST`, in place of
-//!   `MANIFEST.json` + `MANIFEST.log`. There is one read path: an older
-//!   manifest, segment header or index header — and a directory holding a
-//!   `MANIFEST.json` — is refused with [`StoreError::UnsupportedVersion`].
-//!   `tests/pinned_archive/` is
+//!   `MANIFEST.json` + `MANIFEST.log`; version 5 dropped the tail's runs
+//!   file and `IndexMeta::offset` (the open tail has no sidecar). There is
+//!   one read path: an older manifest, segment header or index header —
+//!   and a directory holding a `MANIFEST.json` — is refused with
+//!   [`StoreError::UnsupportedVersion`]. `tests/pinned_archive/` is
 //!   a committed 7-block archive (a batch ingest plus one tail commit)
 //!   that `tests/pinned_format.rs` regenerates and compares byte for
 //!   byte; any layout change fails it until the version is bumped and the
@@ -63,9 +63,9 @@
 //!   (`address × kind → row ranges`) over interned address ids plus
 //!   columnar row chunks, in the same checksummed frame format
 //!   ([`postings`]); a selective filter reads index pages only, never
-//!   data frames. A sealed segment's `.idx` is one run; the open tail's
-//!   `.tail.idx` gains a run per commit and the manifest names the
-//!   committed one by offset.
+//!   data frames. A sealed segment's `.idx` is one run, written when it
+//!   seals; the open tail has none, and a reader builds its index in
+//!   memory from the tail's committed entries.
 //! * **Rollups** — per-kind, per-address, and per-epoch counts and
 //!   saturating wei sums committed with the manifest — whole in the
 //!   snapshot, as changed rows in each delta ([`rollup`]);
@@ -74,10 +74,10 @@
 //!   records the choice in [`QueryStats`] and `store.plan.*` counters
 //!   ([`planner`]); every strategy is bit-identical to the scan.
 //! * **Commit protocol** — files are written unsynced (a sealed
-//!   segment's sidecar once, under its final name). A commit appends a
-//!   fresh tail sidecar run, `sync_data`s every file written since the
-//!   last commit exactly once, fsyncs the directory once if it created a
-//!   file, then appends one CRC-framed delta (seq, new or changed segment
+//!   segment's sidecar once, under its final name). A commit
+//!   `sync_data`s every file written since the last commit exactly once
+//!   (a tail commit: the tail segment alone, then `MANIFEST`, 2 file
+//!   syncs), fsyncs the directory once if it created a file, then appends one CRC-framed delta (seq, new or changed segment
 //!   metas, changed rollup rows) to `MANIFEST` and `sync_data`s it: the
 //!   commit point. When the deltas would outgrow both the snapshot and
 //!   [`SNAPSHOT_FLOOR`] (64 KiB), the commit rewrites the file as one

@@ -18,14 +18,16 @@
 //!
 //! Format 3 and older kept the snapshot in `MANIFEST.json`; a directory
 //! that holds one is refused with [`StoreError::UnsupportedVersion`],
-//! never opened or overwritten as a new store.
+//! never opened or overwritten as a new store. A `MANIFEST` of another
+//! version (format 4) is refused the same way, from its snapshot's
+//! leading version field, before anything else is decoded or cut.
 
 use crate::bloom::LogBloom;
 use crate::error::StoreError;
 use crate::postings::IndexMeta;
 use crate::rollup::{RollupBlock, RollupBuilder};
 use crate::snapshot_log::{self, Logged, SnapshotLog};
-use mev_types::codec::{Decode, DecodeError, Encode, Reader};
+use mev_types::codec::{self, Decode, DecodeError, Encode, Reader};
 use mev_types::Timeline;
 use std::path::Path;
 
@@ -33,9 +35,11 @@ use std::path::Path;
 /// segment and sidecar frame payloads from JSON to the binary codec of
 /// `mev_types::codec`; version 3 added the manifest journal and appended
 /// tail sidecar runs (`IndexMeta::offset`); version 4 made the manifest
-/// one codec snapshot-and-delta file. Older stores are refused, not
-/// converted.
-pub const FORMAT_VERSION: u32 = 4;
+/// one codec snapshot-and-delta file; version 5 dropped the tail's runs
+/// file (the open tail has no sidecar, `SegmentMeta::postings` is
+/// `None`) and with it `IndexMeta::offset`. Older stores are refused,
+/// not converted.
+pub const FORMAT_VERSION: u32 = 5;
 /// Manifest file name under the store root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// The manifest snapshot of format 3 and older.
@@ -65,9 +69,10 @@ pub struct SegmentMeta {
     pub bytes: u64,
     /// Bloom filter over (address, event-kind) of the committed logs.
     pub bloom: LogBloom,
-    /// The committed sidecar index: `seg-XXXXX.idx` for a sealed
-    /// segment, the last run of `seg-XXXXX.tail.idx` for the open tail.
-    pub postings: IndexMeta,
+    /// The committed sidecar index, `seg-XXXXX.idx`; `None` exactly for
+    /// the open partial tail, which has no sidecar (readers build its
+    /// index in memory from its committed entries).
+    pub postings: Option<IndexMeta>,
 }
 
 impl Encode for SegmentMeta {
@@ -112,7 +117,7 @@ impl Decode for SegmentMeta {
             log_count: u64::decode(r)?,
             bytes: u64::decode(r)?,
             bloom: LogBloom::decode(r)?,
-            postings: IndexMeta::decode(r)?,
+            postings: Option::decode(r)?,
         })
     }
 }
@@ -209,6 +214,19 @@ impl Decode for Manifest {
 
 impl Logged for Manifest {
     type Change = ManifestChange;
+
+    /// A manifest of another format version is refused from its leading
+    /// `(format, version)` alone: the rest may not decode under this
+    /// build's layout, and a misread delta must not be cut off.
+    fn check_snapshot(payload: &[u8]) -> Result<(), StoreError> {
+        match codec::from_prefix::<(String, u32)>(payload) {
+            Ok((_, found)) if found != FORMAT_VERSION => Err(StoreError::UnsupportedVersion {
+                found,
+                supported: FORMAT_VERSION,
+            }),
+            _ => Ok(()),
+        }
+    }
 
     /// Apply one commit's change on top of the state it follows.
     fn fold(&mut self, change: ManifestChange) -> Result<(), StoreError> {
@@ -353,16 +371,23 @@ impl Manifest {
                     ),
                 });
             }
-            let idx = &seg.postings;
-            if idx.rows != seg.log_count
-                || idx.chunk_rows == 0
-                || idx.file.is_empty()
-                || idx.offset >= idx.bytes
-            {
+            // Only the open partial tail has no sidecar.
+            let open_tail = i + 1 == self.segments.len() && seg.blocks < self.segment_blocks;
+            let indexed = match &seg.postings {
+                None => open_tail,
+                Some(idx) => {
+                    !open_tail
+                        && idx.rows == seg.log_count
+                        && idx.chunk_rows != 0
+                        && !idx.file.is_empty()
+                        && idx.bytes != 0
+                }
+            };
+            if !indexed {
                 return Err(StoreError::ManifestInvalid {
                     detail: format!(
-                        "segment {i} index meta inconsistent: {} rows for {} logs, run [{}, {})",
-                        idx.rows, seg.log_count, idx.offset, idx.bytes
+                        "segment {i} index meta inconsistent: {:?} for {} logs (open tail: {open_tail})",
+                        seg.postings, seg.log_count
                     ),
                 });
             }
@@ -485,21 +510,24 @@ mod tests {
             log_count: 0,
             bytes: 0,
             bloom: LogBloom::new(),
-            postings: IndexMeta {
+            postings: Some(IndexMeta {
                 file: format!("seg-{index:05}.idx"),
-                offset: 0,
                 bytes: 1,
                 rows: 0,
                 addrs: 0,
                 chunk_rows: 512,
                 dict_addrs: false,
-            },
+            }),
         }
     }
 
     fn manifest_with(segments: Vec<SegmentMeta>) -> Manifest {
         let mut m = Manifest::new(Timeline::paper_span(100), 4);
         m.segments = segments;
+        // The open partial tail has no sidecar.
+        if let Some(tail) = m.segments.last_mut().filter(|s| s.blocks < 4) {
+            tail.postings = None;
+        }
         m.rollups.head_block = m.head_block();
         m
     }
@@ -570,11 +598,20 @@ mod tests {
         let g = 10_000_000;
         // Index meta whose row count disagrees with the segment's logs.
         let mut bad_idx = manifest_with(vec![seg(0, g, g + 3)]);
-        bad_idx.segments[0].postings.rows = 7;
+        bad_idx.segments[0].postings.as_mut().unwrap().rows = 7;
         assert!(matches!(
             bad_idx.validate(),
             Err(StoreError::ManifestInvalid { .. })
         ));
+        // A sealed segment without its sidecar, and an open tail with one.
+        for last in [g + 3, g + 1] {
+            let mut m = manifest_with(vec![seg(0, g, last)]);
+            m.segments[0].postings = seg(0, g, g).postings.filter(|_| last == g + 1);
+            assert!(matches!(
+                m.validate(),
+                Err(StoreError::ManifestInvalid { .. })
+            ));
+        }
         // Rollups whose head lags the committed head.
         let mut stale = manifest_with(vec![seg(0, g, g + 3)]);
         stale.rollups.head_block = Some(g);

@@ -113,15 +113,14 @@ mod tests {
             log_count: 0,
             bytes: 0,
             bloom: LogBloom::new(),
-            postings: IndexMeta {
+            postings: Some(IndexMeta {
                 file: format!("seg-{index:05}.idx"),
-                offset: 0,
                 bytes: 1,
                 rows: 0,
                 addrs: 0,
                 chunk_rows: 512,
                 dict_addrs: false,
-            },
+            }),
         }
     }
 

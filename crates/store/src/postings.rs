@@ -30,26 +30,23 @@
 //! they count the two leading index frames plus every chunk touched,
 //! whether it came from disk or from memory.
 //!
-//! Two files hold runs:
+//! Only a sealed segment has a sidecar: its `seg-XXXXX.idx`, one run
+//! written once under its final name when the segment seals (or a
+//! compacted tier is written) and synced by the commit that names it.
+//! Its shape (`bytes`, rows, chunk geometry) rides `SegmentMeta::postings`
+//! through the manifest commit, so a reader only ever reads a whole
+//! committed run. A sidecar that is missing, truncated, or fails any
+//! checksum degrades the segment to a full scan — never a query error.
 //!
-//! - a sealed segment's `seg-XXXXX.idx` is one run at offset 0, written
-//!   once under its final name when the segment seals (or a compacted
-//!   tier is written), and synced by the commit that names it;
-//! - the open tail's `seg-XXXXX.tail.idx` grows by one run per commit:
-//!   each commit appends a fresh run covering every block in the tail,
-//!   and `sync_data`s it before its commit point. Earlier runs are dead
-//!   bytes; the tail file is dropped once its segment seals.
-//!
-//! The committed run's `offset` and end (`bytes`) ride
-//! `SegmentMeta::postings` through the manifest commit, so a reader only
-//! ever reads a whole committed run. A sidecar that is missing,
-//! truncated, or fails any checksum degrades the segment to a full scan
-//! — never a query error.
+//! The open tail has no sidecar: a tail commit writes no index. A reader
+//! builds the tail's [`SegmentIndex`] in memory from its committed
+//! entries ([`IndexBuilder::to_index`]), holding exactly what opening
+//! the run of those entries would hold.
 
 use crate::error::StoreError;
 use crate::frame::{encode_frame, Frame, FrameReader};
 use crate::manifest::{SegmentMeta, FORMAT_VERSION};
-use crate::segment::BlockEntry;
+use crate::segment::{read_segment, BlockEntry};
 use mev_chain::{EventKind, LogFilter};
 use mev_types::codec::{Decode, DecodeError, Encode, Reader};
 use mev_types::{Address, Interner, Log, Receipt, TxHash};
@@ -75,17 +72,6 @@ const KIND_SLOTS: usize = EventKind::ALL.len();
 /// Sidecar file name of segment `index` under the store root.
 pub fn index_file_name(index: u64) -> String {
     format!("seg-{index:05}.idx")
-}
-
-/// File of appended sidecar runs for an open tail segment —
-/// `seg-00003.seg → seg-00003.tail.idx`. Distinct from the sealed
-/// sidecar's name, so sealing (which writes `seg-00003.idx`) never
-/// overwrites the runs the last commit still names.
-pub(crate) fn tail_sidecar_file_name(segment_file: &str) -> String {
-    format!(
-        "{}.tail.idx",
-        segment_file.strip_suffix(".seg").unwrap_or(segment_file)
-    )
 }
 
 /// Sidecar file name belonging to an arbitrary segment file name —
@@ -248,10 +234,7 @@ impl Decode for RowChunk {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexMeta {
     pub file: String,
-    /// Byte offset of the committed run's header frame (0 for a sealed
-    /// sidecar; the last appended run of a tail's runs file).
-    pub offset: u64,
-    /// End of the committed run; reads never cross this.
+    /// Length of the committed run; reads never cross this.
     pub bytes: u64,
     pub rows: u64,
     /// Distinct emitting addresses in the segment.
@@ -266,7 +249,6 @@ impl Encode for IndexMeta {
     fn encode(&self, out: &mut Vec<u8>) {
         let IndexMeta {
             file,
-            offset,
             bytes,
             rows,
             addrs,
@@ -274,7 +256,6 @@ impl Encode for IndexMeta {
             dict_addrs,
         } = self;
         file.encode(out);
-        offset.encode(out);
         bytes.encode(out);
         rows.encode(out);
         addrs.encode(out);
@@ -287,7 +268,6 @@ impl Decode for IndexMeta {
     fn decode(r: &mut Reader<'_>) -> Result<IndexMeta, DecodeError> {
         Ok(IndexMeta {
             file: String::decode(r)?,
-            offset: u64::decode(r)?,
             bytes: u64::decode(r)?,
             rows: u64::decode(r)?,
             addrs: u64::decode(r)?,
@@ -307,6 +287,15 @@ fn codec(path: &Path, detail: String) -> StoreError {
 fn decode_payload<T: Decode>(path: &Path, frame: &Frame) -> Result<T, StoreError> {
     mev_types::codec::from_slice(&frame.payload)
         .map_err(|e| codec(path, format!("index frame at byte {}: {e}", frame.offset)))
+}
+
+/// `postings.addrs` as `(address, AddrId)` pairs sorted by address.
+fn addr_ids(postings: &PostingsTable) -> Vec<(Address, u32)> {
+    let mut ids: Vec<_> = (postings.addrs.iter().enumerate())
+        .map(|(id, &addr)| (addr, id as u32))
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Extend the trailing range if `row` continues it, else open a new one.
@@ -418,20 +407,59 @@ impl IndexBuilder {
     }
 
     /// Encode the complete sidecar byte stream for segment
-    /// `segment_index` starting at `first_block` (plain row chunks).
-    pub fn encode(&self, segment_index: u64, first_block: u64) -> Vec<u8> {
-        self.encode_with(segment_index, first_block, false)
-    }
-
-    /// [`IndexBuilder::encode`] with an explicit row-chunk encoding:
-    /// `dict_addrs` swaps the `logs` column for dictionary-compressed
+    /// `segment_index` starting at `first_block`: `dict_addrs` swaps the
+    /// `logs` column of the row chunks for dictionary-compressed
     /// `addr_ids` + `events` columns (ids into the postings address
     /// table).
     pub fn encode_with(&self, segment_index: u64, first_block: u64, dict_addrs: bool) -> Vec<u8> {
-        let rows = self.logs.len() as u64;
+        let (header, postings, chunks) = self.run(segment_index, first_block, dict_addrs);
+        let mut out = Vec::new();
+        encode_frame(
+            &mut out,
+            FRAME_INDEX_HEADER,
+            &mev_types::codec::to_vec(&header),
+        );
+        encode_frame(
+            &mut out,
+            FRAME_POSTINGS,
+            &mev_types::codec::to_vec(&postings),
+        );
+        for (_, payload) in &chunks {
+            encode_frame(&mut out, FRAME_ROW_CHUNK, payload);
+        }
+        out
+    }
+
+    /// The open tail's index, built in memory: the header, postings and
+    /// decoded row chunks that [`SegmentIndex::open`] of this builder's
+    /// plain run would hold once every chunk was read, so queries and
+    /// their stats cannot tell the two apart. `path` (the tail's segment
+    /// file) only names the index in errors.
+    pub fn to_index(&self, segment_index: u64, first_block: u64, path: PathBuf) -> SegmentIndex {
+        let (header, postings, chunks) = self.run(segment_index, first_block, false);
+        SegmentIndex {
+            addr_ids: addr_ids(&postings),
+            chunks: chunks.into_iter().map(|(c, _)| OnceLock::from(c)).collect(),
+            header,
+            postings,
+            path,
+            // No file backs the index, so no chunk is ever read from one.
+            committed_bytes: 0,
+            data_start: 0,
+            pages_read: 2,
+        }
+    }
+
+    /// One run's header, postings table and row chunks, each chunk with
+    /// its encoded payload, which sizes the postings' chunk offsets.
+    fn run(
+        &self,
+        segment_index: u64,
+        first_block: u64,
+        dict_addrs: bool,
+    ) -> (IndexHeader, PostingsTable, Vec<(RowChunk, Vec<u8>)>) {
         let chunk_rows = ROWS_PER_CHUNK;
-        // Encode every chunk first so the offset table is exact.
-        let mut chunk_payloads = Vec::new();
+        let mut chunks = Vec::new();
         let mut chunk_offsets = Vec::new();
         let mut rel = 0u64;
         let mut start = 0usize;
@@ -463,7 +491,7 @@ impl IndexBuilder {
             let payload = mev_types::codec::to_vec(&chunk);
             chunk_offsets.push(rel);
             rel += crate::frame::FRAME_HEADER_BYTES + payload.len() as u64;
-            chunk_payloads.push(payload);
+            chunks.push((chunk, payload));
             start = end;
         }
         let postings = PostingsTable {
@@ -476,24 +504,10 @@ impl IndexBuilder {
             version: FORMAT_VERSION,
             segment: segment_index,
             first_block,
-            rows,
+            rows: self.logs.len() as u64,
             chunk_rows,
         };
-        let mut out = Vec::new();
-        encode_frame(
-            &mut out,
-            FRAME_INDEX_HEADER,
-            &mev_types::codec::to_vec(&header),
-        );
-        encode_frame(
-            &mut out,
-            FRAME_POSTINGS,
-            &mev_types::codec::to_vec(&postings),
-        );
-        for payload in &chunk_payloads {
-            encode_frame(&mut out, FRAME_ROW_CHUNK, payload);
-        }
-        out
+        (header, postings, chunks)
     }
 
     /// Write the sidecar for segment `segment_index` as `file` under
@@ -517,7 +531,6 @@ impl IndexBuilder {
             .map_err(|e| StoreError::io("write sidecar", &path, e))?;
         let meta = IndexMeta {
             file,
-            offset: 0,
             bytes: bytes.len() as u64,
             rows: self.rows(),
             addrs: self.addrs(),
@@ -535,7 +548,8 @@ impl Default for IndexBuilder {
 }
 
 /// An opened, validated sidecar: header and postings loaded, row chunks
-/// read on demand through [`RowReader`] and kept once decoded.
+/// read on demand through [`RowReader`] and kept once decoded — or the
+/// open tail's index, built in memory with every chunk in place.
 pub struct SegmentIndex {
     pub header: IndexHeader,
     pub postings: PostingsTable,
@@ -547,7 +561,8 @@ pub struct SegmentIndex {
     /// empty, so a damaged chunk fails every query that touches it.
     chunks: Vec<OnceLock<RowChunk>>,
     path: PathBuf,
-    /// End of the committed run (from the manifest, not the file system).
+    /// End of the committed run (from the manifest, not the file system);
+    /// 0 for an index built in memory.
     committed_bytes: u64,
     /// Absolute byte offset of the first row-chunk frame.
     data_start: u64,
@@ -556,11 +571,30 @@ pub struct SegmentIndex {
 }
 
 impl SegmentIndex {
+    /// A segment's index: its sidecar opened, or for the open tail, which
+    /// has none, built in memory from its committed entries.
+    pub fn load(root: &Path, meta: &SegmentMeta) -> Result<SegmentIndex, StoreError> {
+        match meta.postings {
+            Some(_) => SegmentIndex::open(root, meta),
+            None => {
+                let builder = IndexBuilder::from_entries(&read_segment(root, meta)?);
+                Ok(builder.to_index(meta.index, meta.first_block, root.join(&meta.file)))
+            }
+        }
+    }
+
     /// Open and validate a segment's sidecar against its committed meta.
     /// Any error here means the caller must fall back to scanning the
     /// segment's data frames; results stay correct either way.
+    /// The open tail has no sidecar ([`IndexBuilder::to_index`] builds
+    /// its index instead).
     pub fn open(root: &Path, meta: &SegmentMeta) -> Result<SegmentIndex, StoreError> {
-        let im = &meta.postings;
+        let im = (meta.postings.as_ref()).ok_or_else(|| {
+            codec(
+                &root.join(&meta.file),
+                "the open tail has no sidecar".into(),
+            )
+        })?;
         let path = root.join(&im.file);
         let file = match fs::File::open(&path) {
             Ok(f) => f,
@@ -580,19 +614,7 @@ impl SegmentIndex {
                 actual,
             });
         }
-        if im.offset >= im.bytes {
-            return Err(codec(
-                &path,
-                format!(
-                    "index run offset {} is past its end {}",
-                    im.offset, im.bytes
-                ),
-            ));
-        }
-        let mut file = file;
-        file.seek(SeekFrom::Start(im.offset))
-            .map_err(|e| StoreError::io("seek index run", &path, e))?;
-        let mut reader = FrameReader::new(BufReader::new(file), &path, im.bytes - im.offset);
+        let mut reader = FrameReader::new(BufReader::new(file), &path, im.bytes);
         let header_frame = reader
             .next_frame()?
             .ok_or_else(|| codec(&path, "index has no header frame".to_string()))?;
@@ -656,24 +678,16 @@ impl SegmentIndex {
         {
             return Err(codec(&path, "postings table is inconsistent".to_string()));
         }
-        let mut addr_ids: Vec<(Address, u32)> = postings
-            .addrs
-            .iter()
-            .enumerate()
-            .map(|(id, &addr)| (addr, id as u32))
-            .collect();
-        addr_ids.sort_unstable();
-        let chunks = (0..postings.chunk_offsets.len())
-            .map(|_| OnceLock::new())
-            .collect();
         Ok(SegmentIndex {
+            addr_ids: addr_ids(&postings),
+            chunks: (0..postings.chunk_offsets.len())
+                .map(|_| OnceLock::new())
+                .collect(),
             header,
             postings,
-            addr_ids,
-            chunks,
             path,
             committed_bytes: im.bytes,
-            data_start: im.offset + reader.offset(),
+            data_start: reader.offset(),
             pages_read: 2,
         })
     }
@@ -902,17 +916,22 @@ mod tests {
         let (im, _) = builder
             .write_named_with(dir, index_file_name(0), 0, first, false)
             .unwrap();
+        meta_of(entries, im)
+    }
+
+    /// Segment 0's meta over `entries`, its sidecar `im`.
+    fn meta_of(entries: &[BlockEntry], im: IndexMeta) -> SegmentMeta {
         SegmentMeta {
             index: 0,
             file: segment_file_name(0),
-            first_block: first,
+            first_block: entries[0].block.header.number,
             last_block: entries.last().unwrap().block.header.number,
             blocks: entries.len() as u64,
             tx_count: 0,
             log_count: im.rows,
             bytes: 0,
             bloom: crate::bloom::LogBloom::new(),
-            postings: im,
+            postings: Some(im),
         }
     }
 
@@ -997,11 +1016,34 @@ mod tests {
     }
 
     #[test]
+    fn an_index_built_in_memory_holds_what_open_holds() {
+        let dir = scratch_dir("postings-in-memory");
+        // Two row chunks.
+        let es = entries(300, 2);
+        let meta = meta_with_index(&dir, &es);
+        let opened = SegmentIndex::open(&dir, &meta).unwrap();
+        let built = IndexBuilder::from_entries(&es).to_index(0, meta.first_block, PathBuf::new());
+        assert_eq!(built.header, opened.header);
+        assert_eq!(built.postings, opened.postings);
+        assert!(built.chunks.iter().all(|c| c.get().is_some()));
+        let (mut b, mut o) = (built.rows(), opened.rows());
+        // One row past the end fails on both.
+        for row in 0..=opened.header.rows as u32 {
+            assert_eq!(b.get(row).ok(), o.get(row).ok(), "row {row}");
+        }
+        assert_eq!(
+            (built.pages_read, b.pages_read),
+            (opened.pages_read, o.pages_read)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bitflip_anywhere_is_rejected() {
         let dir = scratch_dir("postings-bitflip");
         let es = entries(4, 2);
         let meta = meta_with_index(&dir, &es);
-        let path = dir.join(&meta.postings.file);
+        let path = dir.join(&meta.postings.as_ref().unwrap().file);
         let clean = fs::read(&path).unwrap();
         // Flip a bit in each structural region: header frame, postings
         // frame, and the last chunk frame.
@@ -1060,20 +1102,8 @@ mod tests {
             dict.bytes,
             plain.bytes
         );
-        let mk_meta = |im: &IndexMeta| SegmentMeta {
-            index: 0,
-            file: segment_file_name(0),
-            first_block: first,
-            last_block: es.last().unwrap().block.header.number,
-            blocks: es.len() as u64,
-            tx_count: 0,
-            log_count: im.rows,
-            bytes: 0,
-            bloom: crate::bloom::LogBloom::new(),
-            postings: im.clone(),
-        };
-        let pi = SegmentIndex::open(&dir, &mk_meta(&plain)).unwrap();
-        let di = SegmentIndex::open(&dir, &mk_meta(&dict)).unwrap();
+        let pi = SegmentIndex::open(&dir, &meta_of(&es, plain)).unwrap();
+        let di = SegmentIndex::open(&dir, &meta_of(&es, dict)).unwrap();
         let (mut pr, mut dr) = (pi.rows(), di.rows());
         for row in 0..pi.header.rows as u32 {
             assert_eq!(pr.get(row).unwrap(), dr.get(row).unwrap(), "row {row}");
@@ -1086,8 +1116,8 @@ mod tests {
         let es = entries(5, 3);
         let a = IndexBuilder::from_entries(&es);
         let b = IndexBuilder::from_entries(&es);
-        let pa = a.encode(0, 10_000_000);
-        let pb = b.encode(0, 10_000_000);
+        let pa = a.encode_with(0, 10_000_000, false);
+        let pb = b.encode_with(0, 10_000_000, false);
         assert_eq!(pa, pb);
     }
 }

@@ -14,7 +14,7 @@
 use crate::error::StoreError;
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::planner::{self, GroupBy};
-use crate::postings::SegmentIndex;
+use crate::postings::{IndexBuilder, SegmentIndex};
 use crate::rollup::{wei_value, RollupStat};
 use crate::segment::{read_segment, BlockEntry};
 use mev_chain::{
@@ -33,10 +33,12 @@ pub struct VerifyReport {
     pub txs: u64,
     pub logs: u64,
     pub bytes: u64,
-    /// Sidecar index files byte-compared against a deterministic
-    /// re-encode of their segment's entries, opened under the committed
-    /// [`crate::postings::IndexMeta`], and meta-audited (row / interned
-    /// address counts, chunk geometry) against the rebuild.
+    /// Segment indexes audited: each sealed segment's sidecar
+    /// byte-compared against a deterministic re-encode of its entries,
+    /// opened under the committed [`crate::postings::IndexMeta`], and
+    /// meta-audited (row / interned address counts, chunk geometry)
+    /// against the rebuild; the open tail's, which has no sidecar,
+    /// rebuilt from its entries as queries build it.
     pub indexes: u64,
     /// Committed rollup blocks recomputed from every segment (always 1).
     pub rollups: u64,
@@ -329,9 +331,12 @@ impl StoreReader {
         Ok(entries)
     }
 
-    /// Segment `meta`'s opened sidecar, through the segment LRU. Opening
-    /// happens outside the cache lock, and a failed open is not kept: the
-    /// next query tries again.
+    /// Segment `meta`'s index ([`SegmentIndex::load`]), through the
+    /// segment LRU: the open tail's, built in memory, is kept like any
+    /// opened sidecar, and building it reads past the cache, so postings
+    /// traffic leaves the data side alone. Opening happens outside the
+    /// cache lock, and a failed open is not kept: the next query tries
+    /// again.
     fn segment_index(&self, meta: &SegmentMeta) -> Result<Arc<SegmentIndex>, StoreError> {
         if let Ok(mut cache) = self.cache.lock() {
             if let Some(index) = cache.get_index(meta.index) {
@@ -340,7 +345,7 @@ impl StoreReader {
             }
         }
         mev_obs::counter("store.indexes_opened").inc();
-        let opened = Arc::new(SegmentIndex::open(&self.root, meta)?);
+        let opened = Arc::new(SegmentIndex::load(&self.root, meta)?);
         Ok(match self.cache.lock() {
             Ok(mut cache) => cache.put_index(meta.index, opened),
             Err(_) => opened,
@@ -865,60 +870,50 @@ impl StoreReader {
                     detail: "recomputed bloom differs from manifest".to_string(),
                 });
             }
-            let im = &meta.postings;
-            let idx_path = self.root.join(&im.file);
-            let committed = match std::fs::read(&idx_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(StoreError::SegmentMissing { path: idx_path })
+            let builder = IndexBuilder::from_entries(&entries);
+            // The open tail has no sidecar: its index is this rebuild, as
+            // every query builds it, so the checks above cover it.
+            if let Some(im) = &meta.postings {
+                // The sidecar must open under its committed meta (a
+                // missing or short file fails here) — the same gate every
+                // postings query passes through. Opened first because the
+                // byte compare re-encodes with the header's own recorded
+                // segment number: compaction renumbers survivors without
+                // rewriting their files, so the on-disk number may
+                // (validly) lag `meta.index`.
+                let idx = SegmentIndex::open(&self.root, meta)?;
+                let idx_path = self.root.join(&im.file);
+                let committed = std::fs::read(&idx_path)
+                    .map_err(|e| StoreError::io("read index", &idx_path, e))?;
+                // Sidecar encoding is deterministic, so a byte compare
+                // against a rebuild from the (already checksummed)
+                // entries proves the index reproduces the data exactly.
+                let rebuilt =
+                    builder.encode_with(idx.header.segment, meta.first_block, im.dict_addrs);
+                if rebuilt.len() as u64 != im.bytes || !committed.starts_with(&rebuilt) {
+                    return Err(StoreError::ZoneMapMismatch {
+                        path: idx_path,
+                        detail: "sidecar index differs from a rebuild of its segment".to_string(),
+                    });
                 }
-                Err(e) => return Err(StoreError::io("read index", &idx_path, e)),
-            };
-            if (committed.len() as u64) < im.bytes {
-                return Err(StoreError::SegmentTruncated {
-                    path: idx_path,
-                    committed: im.bytes,
-                    actual: committed.len() as u64,
-                });
-            }
-            // The sidecar must open under its committed meta — the
-            // same gate every postings query passes through. Opened
-            // first because the byte compare below re-encodes with
-            // the header's own recorded segment number: compaction
-            // renumbers survivors without rewriting their files, so
-            // the on-disk number may (validly) lag `meta.index`.
-            let idx = SegmentIndex::open(&self.root, meta)?;
-            // Sidecar encoding is deterministic, so a byte compare
-            // against a rebuild from the (already checksummed)
-            // entries proves the index reproduces the data exactly.
-            let builder = crate::postings::IndexBuilder::from_entries(&entries);
-            let rebuilt = builder.encode_with(idx.header.segment, meta.first_block, im.dict_addrs);
-            let run = usize::try_from(im.offset)
-                .ok()
-                .and_then(|start| committed.get(start..start + rebuilt.len()));
-            if im.offset + rebuilt.len() as u64 != im.bytes || run != Some(rebuilt.as_slice()) {
-                return Err(StoreError::ZoneMapMismatch {
-                    path: idx_path,
-                    detail: "sidecar index differs from a rebuild of its segment".to_string(),
-                });
-            }
-            // The byte compare proves file ↔ data; the manifest's
-            // `IndexMeta` counts are a separate trust surface (they
-            // gate `SegmentIndex::open`), so audit them against the
-            // rebuild too — a tampered `chunk_rows` otherwise turns
-            // into a permanent silent postings→scan fallback and a
-            // tampered `addrs` was checked nowhere at all.
-            if im.rows != builder.rows() || im.addrs != builder.addrs() {
-                return Err(StoreError::ManifestInvalid {
-                    detail: format!(
-                        "index meta for {} commits {} rows / {} addrs, rebuild has {} / {}",
-                        im.file,
-                        im.rows,
-                        im.addrs,
-                        builder.rows(),
-                        builder.addrs()
-                    ),
-                });
+                // The byte compare proves file ↔ data; the manifest's
+                // `IndexMeta` counts are a separate trust surface (they
+                // gate `SegmentIndex::open`), so audit them against the
+                // rebuild too — a tampered `chunk_rows` otherwise turns
+                // into a permanent silent postings→scan fallback and a
+                // tampered `addrs` was checked nowhere at all.
+                if im.rows != builder.rows() || im.addrs != builder.addrs() {
+                    return Err(StoreError::ManifestInvalid {
+                        detail: format!(
+                            "index meta for {} commits {} rows / {} addrs, rebuild has {} / {}",
+                            im.file,
+                            im.rows,
+                            im.addrs,
+                            builder.rows(),
+                            builder.addrs()
+                        ),
+                    });
+                }
             }
             report.indexes += 1;
             report.segments += 1;
@@ -1288,7 +1283,7 @@ mod tests {
         // Tamper through the codec: decode, edit, re-encode.
         let tamper = |edit: &dyn Fn(&mut crate::IndexMeta)| {
             let mut m = committed.clone();
-            edit(&mut m.segments[0].postings);
+            edit(m.segments[0].postings.as_mut().unwrap());
             crate::SnapshotLog::new(&manifest_path)
                 .snapshot(&m)
                 .unwrap();

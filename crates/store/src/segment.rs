@@ -8,22 +8,21 @@
 //! reader may consume, so uncommitted tail bytes after a crash are
 //! invisible (and truncated before the next append).
 //!
-//! Alongside each segment the writer maintains a sidecar index (see
-//! [`crate::postings`]) built from the same appended entries. While the
-//! segment is the open tail, every commit appends a fresh run to its
-//! `seg-NNNNN.tail.idx`; sealing writes the compact `seg-NNNNN.idx` once,
-//! under its final name. Nothing here syncs: the store writer syncs every
-//! file written since its last commit just before that commit's point,
-//! and the [`crate::postings::IndexMeta`] naming the committed run rides
-//! the manifest — so a crash can never commit a segment without its
-//! matching index.
+//! Alongside each segment the writer accumulates its sidecar index (see
+//! [`crate::postings`]) from the same appended entries, and writes it
+//! only when the segment seals: the compact `seg-NNNNN.idx`, once, under
+//! its final name. The open tail has no sidecar. Nothing here syncs: the
+//! store writer syncs every file written since its last commit just
+//! before that commit's point, and the [`crate::postings::IndexMeta`]
+//! naming a sealed segment's sidecar rides the manifest — so a crash can
+//! never commit a sealed segment without its matching index.
 
 use crate::bloom::LogBloom;
 use crate::error::StoreError;
-use crate::frame::{encode_frame, FrameSlice, SliceFrameReader};
+use crate::frame::{seal_frame, FrameSlice, SliceFrameReader, FRAME_HEADER_BYTES};
 use crate::manifest::{SegmentMeta, FORMAT_VERSION};
 use crate::mmap::Mmap;
-use crate::postings::{tail_sidecar_file_name, IndexBuilder, IndexMeta, ROWS_PER_CHUNK};
+use crate::postings::{IndexBuilder, IndexMeta};
 use crate::snapshot_log::Syncs;
 use mev_types::codec::{self, Decode, DecodeError, Encode, Reader};
 use mev_types::{Block, Receipt};
@@ -129,13 +128,13 @@ pub struct SegmentWriter {
     bytes: u64,
     bloom: LogBloom,
     index_builder: IndexBuilder,
-    /// Sidecar shape as of the last [`SegmentWriter::write_index`] or
-    /// [`SegmentWriter::append_index_run`] (or the committed state, after
-    /// a reopen).
+    /// Sidecar shape once [`SegmentWriter::write_index`] sealed the
+    /// segment; `None` while it is the open tail.
     index_meta: Option<IndexMeta>,
-    /// The tail runs file and the offset the next run is written at;
-    /// opened by the first [`SegmentWriter::append_index_run`].
-    runs: Option<(fs::File, u64)>,
+    /// One frame's bytes: its header, then the payload encoded in place.
+    /// Reused by every frame, so an append allocates nothing once it has
+    /// grown to the largest frame.
+    scratch: Vec<u8>,
 }
 
 impl SegmentWriter {
@@ -171,23 +170,21 @@ impl SegmentWriter {
             bloom: LogBloom::new(),
             index_builder: IndexBuilder::new(),
             index_meta: None,
-            runs: None,
+            scratch: Vec::new(),
         };
         let header = SegmentHeader {
             version: FORMAT_VERSION,
             index,
             first_block,
         };
-        w.write_frame(FRAME_SEGMENT_HEADER, &codec::to_vec(&header))?;
+        w.write_frame(FRAME_SEGMENT_HEADER, |out| header.encode(out))?;
         Ok(w)
     }
 
     /// Re-open a committed partial segment for further appends. The file
     /// is truncated to the committed length first, discarding any
     /// uncommitted tail bytes from a crashed writer. The sidecar index
-    /// builder is rebuilt from the committed entries; the next commit
-    /// appends its run right after the committed one, cutting any torn
-    /// run a crash left past it.
+    /// builder is rebuilt from the committed entries, for the seal.
     pub fn reopen(root: &Path, meta: &SegmentMeta) -> Result<SegmentWriter, StoreError> {
         let entries = read_segment(root, meta)?;
         let index_builder = IndexBuilder::from_entries(&entries);
@@ -215,16 +212,25 @@ impl SegmentWriter {
             bytes: meta.bytes,
             bloom: meta.bloom.clone(),
             index_builder,
-            index_meta: Some(meta.postings.clone()),
-            runs: None,
+            index_meta: None,
+            scratch: Vec::new(),
         })
     }
 
-    fn write_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        let n = encode_frame(&mut buf, kind, payload);
+    /// Append one frame whose payload `encode` writes, framed in place in
+    /// the scratch buffer.
+    fn write_frame(
+        &mut self,
+        kind: u8,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), StoreError> {
+        let buf = &mut self.scratch;
+        buf.clear();
+        buf.resize(FRAME_HEADER_BYTES as usize, 0);
+        encode(buf);
+        let n = seal_frame(buf, kind);
         self.file
-            .write_all(&buf)
+            .write_all(buf)
             .map_err(|e| StoreError::io("append frame", &self.path, e))?;
         self.bytes += n;
         Ok(())
@@ -243,10 +249,10 @@ impl SegmentWriter {
         }
         // The `BlockEntry` layout, encoded from borrowed parts rather
         // than a cloned entry.
-        let mut payload = Vec::new();
-        block.encode(&mut payload);
-        receipts.encode(&mut payload);
-        self.write_frame(FRAME_BLOCK_ENTRY, &payload)?;
+        self.write_frame(FRAME_BLOCK_ENTRY, |out| {
+            block.encode(out);
+            receipts.encode(out);
+        })?;
         self.last_block = Some(number);
         self.blocks += 1;
         self.tx_count += block.transactions.len() as u64;
@@ -258,71 +264,6 @@ impl SegmentWriter {
         }
         self.index_builder.add_block(number, receipts);
         Ok(())
-    }
-
-    /// Append a fresh sidecar run covering every appended block to the
-    /// tail's runs file (`seg-NNNNN.tail.idx`), unsynced until the next
-    /// [`SegmentWriter::sync`], and remember its [`IndexMeta`] for the
-    /// next [`SegmentWriter::meta`].
-    /// Returns whether the runs file was created (its directory entry must
-    /// be made durable before the commit that names it). No-op on an empty
-    /// segment.
-    pub fn append_index_run(&mut self, root: &Path) -> Result<bool, StoreError> {
-        if self.last_block.is_none() {
-            return Ok(false);
-        }
-        let name = tail_sidecar_file_name(&self.file_name);
-        let path = root.join(&name);
-        let mut created = false;
-        let (file, end) = match self.runs.as_mut() {
-            Some(runs) => runs,
-            None => {
-                // Resume right after the committed run; bytes past it are
-                // a torn run from a crash.
-                let start = match &self.index_meta {
-                    Some(im) if im.file == name => im.bytes,
-                    _ => 0,
-                };
-                let opened = fs::OpenOptions::new()
-                    .write(true)
-                    .create_new(true)
-                    .open(&path);
-                created = opened.is_ok();
-                let file = match opened {
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                        fs::OpenOptions::new().write(true).open(&path)
-                    }
-                    other => other,
-                }
-                .and_then(|f| f.set_len(start).map(|_| f))
-                .map_err(|e| StoreError::io("open index runs", &path, e))?;
-                self.runs.insert((file, start))
-            }
-        };
-        let run = self.index_builder.encode(self.index, self.first_block);
-        file.seek(SeekFrom::Start(*end))
-            .and_then(|_| file.write_all(&run))
-            .map_err(|e| StoreError::io("append index run", &path, e))?;
-        let offset = *end;
-        *end += run.len() as u64;
-        self.index_meta = Some(IndexMeta {
-            file: name,
-            offset,
-            bytes: *end,
-            rows: self.index_builder.rows(),
-            addrs: self.index_builder.addrs(),
-            chunk_rows: ROWS_PER_CHUNK,
-            dict_addrs: false,
-        });
-        Ok(created)
-    }
-
-    /// The tail runs file this segment has written or committed, if any —
-    /// dead once the segment seals.
-    pub(crate) fn runs_file(&self) -> Option<String> {
-        let name = tail_sidecar_file_name(&self.file_name);
-        let committed = matches!(&self.index_meta, Some(im) if im.file == name);
-        (self.runs.is_some() || committed).then_some(name)
     }
 
     /// Write the segment's compact sidecar index covering every appended
@@ -351,14 +292,9 @@ impl SegmentWriter {
         Ok(Some((file, path)))
     }
 
-    /// `sync_data` the segment file and, once a run was appended, the
-    /// tail's runs file.
+    /// `sync_data` the segment file.
     pub(crate) fn sync(&self, syncs: &mut Syncs) -> Result<(), StoreError> {
-        syncs.sync_file(&self.file, &self.path)?;
-        match &self.runs {
-            Some((runs, _)) => syncs.sync_file(runs, &self.path.with_extension("tail.idx")),
-            None => Ok(()),
-        }
+        syncs.sync_file(&self.file, &self.path)
     }
 
     /// The segment file, to sync before the commit that names it once
@@ -384,12 +320,11 @@ impl SegmentWriter {
         self.index = index;
     }
 
-    /// The zone map + bloom as of the last append, with the last
-    /// sidecar written. `None` until the first block lands and its
-    /// sidecar is written — empty segments are never committed.
+    /// The zone map + bloom as of the last append, with the sidecar once
+    /// the segment sealed. `None` until the first block lands — empty
+    /// segments are never committed.
     pub fn meta(&self) -> Option<SegmentMeta> {
         let last_block = self.last_block?;
-        let postings = self.index_meta.clone()?;
         Some(SegmentMeta {
             index: self.index,
             file: self.file_name.clone(),
@@ -400,7 +335,7 @@ impl SegmentWriter {
             log_count: self.log_count,
             bytes: self.bytes,
             bloom: self.bloom.clone(),
-            postings,
+            postings: self.index_meta.clone(),
         })
     }
 }
@@ -513,18 +448,23 @@ mod tests {
     use super::*;
     use crate::testutil::{scratch_dir, test_block};
 
+    /// A writer over a fresh segment 0 holding `blocks` test blocks of
+    /// `txs` transactions from block 10,000,000 on.
+    fn segment(dir: &Path, blocks: u64, txs: u64) -> SegmentWriter {
+        let mut w = SegmentWriter::create(dir, 0, 10_000_000).unwrap();
+        for i in 0..blocks {
+            let (block, receipts) = test_block(10_000_000 + i, txs);
+            w.append(&block, &receipts).unwrap();
+        }
+        w.sync(&mut Syncs::default()).unwrap();
+        w
+    }
+
     #[test]
     fn write_seal_read_round_trip() {
         let dir = scratch_dir("segment-roundtrip");
         let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        for i in 0..4u64 {
-            let (block, receipts) = test_block(g + i, 2);
-            w.append(&block, &receipts).unwrap();
-        }
-        w.sync(&mut Syncs::default()).unwrap();
-        w.append_index_run(&dir).unwrap();
-        let meta = w.meta().unwrap();
+        let meta = segment(&dir, 4, 2).meta().unwrap();
         assert_eq!(meta.blocks, 4);
         assert_eq!(meta.first_block, g);
         assert_eq!(meta.last_block, g + 3);
@@ -540,14 +480,10 @@ mod tests {
     fn write_index_commits_sidecar_and_reopen_rebuilds_it() {
         let dir = scratch_dir("segment-sidecar");
         let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        for i in 0..3u64 {
-            let (block, receipts) = test_block(g + i, 2);
-            w.append(&block, &receipts).unwrap();
-        }
+        let mut w = segment(&dir, 3, 2);
         w.write_index(&dir, false).unwrap();
         let meta = w.meta().unwrap();
-        let im = meta.postings.clone();
+        let im = meta.postings.clone().unwrap();
         // 2 transfers per block + swaps on the 2 even blocks.
         assert_eq!(im.rows, meta.log_count);
         assert_eq!(im.rows, 8);
@@ -564,50 +500,23 @@ mod tests {
         w2.write_index(&dir, false).unwrap();
         let reopened = fs::read(dir.join(&im.file)).unwrap();
         let entries = read_segment(&dir, &w2.meta().unwrap()).unwrap();
-        let oneshot = crate::postings::IndexBuilder::from_entries(&entries).encode(0, g);
+        let oneshot = IndexBuilder::from_entries(&entries).encode_with(0, g, false);
         assert_eq!(reopened, oneshot);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn appended_runs_resume_after_the_committed_run() {
-        use crate::postings::SegmentIndex;
-        let dir = scratch_dir("segment-runs");
-        let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        let mut runs = Vec::new();
-        for i in 0..3u64 {
-            let (block, receipts) = test_block(g + i, 2);
-            w.append(&block, &receipts).unwrap();
-            assert_eq!(w.append_index_run(&dir).unwrap(), i == 0, "created once");
-            let meta = w.meta().unwrap();
-            // Each run covers the whole tail and opens on its own.
-            let idx = SegmentIndex::open(&dir, &meta).unwrap();
-            assert_eq!(idx.header.rows, meta.log_count);
-            runs.push(meta.postings.clone());
+    fn the_open_tail_writes_no_index() {
+        let dir = scratch_dir("segment-tail-index");
+        for blocks in 1..4 {
+            let w = segment(&dir, blocks, 2);
+            assert_eq!(w.meta().unwrap().postings, None);
+            assert_eq!(
+                fs::read_dir(&dir).unwrap().count(),
+                1,
+                "the segment file alone"
+            );
         }
-        assert_eq!(runs[0].offset, 0);
-        assert!(runs.windows(2).all(|r| r[1].offset == r[0].bytes));
-        assert_eq!(w.runs_file().as_deref(), Some("seg-00000.tail.idx"));
-        // Commit the second run only; the third is a torn run past it.
-        w.sync(&mut Syncs::default()).unwrap();
-        let mut committed = w.meta().unwrap();
-        committed.postings = runs[1].clone();
-        drop(w);
-        let path = dir.join(&runs[1].file);
-        let mut torn = fs::read(&path).unwrap();
-        torn.truncate(runs[2].bytes as usize - 5);
-        fs::write(&path, &torn).unwrap();
-        let mut w2 = SegmentWriter::reopen(&dir, &committed).unwrap();
-        let (block, receipts) = test_block(g + 3, 2);
-        w2.append(&block, &receipts).unwrap();
-        assert!(!w2.append_index_run(&dir).unwrap());
-        let meta = w2.meta().unwrap();
-        let im = meta.postings.clone();
-        assert_eq!(im.offset, runs[1].bytes, "the torn run is cut");
-        assert_eq!(fs::metadata(&path).unwrap().len(), im.bytes);
-        let oneshot = IndexBuilder::from_entries(&read_segment(&dir, &meta).unwrap()).encode(0, g);
-        assert_eq!(fs::read(&path).unwrap()[im.offset as usize..], oneshot[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -615,13 +524,7 @@ mod tests {
     fn reopen_continues_partial_segment() {
         let dir = scratch_dir("segment-reopen");
         let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        let (block, receipts) = test_block(g, 1);
-        w.append(&block, &receipts).unwrap();
-        w.sync(&mut Syncs::default()).unwrap();
-        w.append_index_run(&dir).unwrap();
-        let committed = w.meta().unwrap();
-        drop(w);
+        let committed = segment(&dir, 1, 1).meta().unwrap();
         // Crash residue after the committed bytes must be discarded.
         {
             use std::io::Write as _;
@@ -635,7 +538,6 @@ mod tests {
         let (block, receipts) = test_block(g + 1, 1);
         w2.append(&block, &receipts).unwrap();
         w2.sync(&mut Syncs::default()).unwrap();
-        w2.append_index_run(&dir).unwrap();
         let meta = w2.meta().unwrap();
         assert_eq!(meta.blocks, 2);
         let entries = read_segment(&dir, &meta).unwrap();
@@ -647,14 +549,7 @@ mod tests {
     #[test]
     fn truncated_file_is_detected_on_read() {
         let dir = scratch_dir("segment-truncated");
-        let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        let (block, receipts) = test_block(g, 3);
-        w.append(&block, &receipts).unwrap();
-        w.sync(&mut Syncs::default()).unwrap();
-        w.append_index_run(&dir).unwrap();
-        let meta = w.meta().unwrap();
-        drop(w);
+        let meta = segment(&dir, 1, 3).meta().unwrap();
         let path = dir.join(&meta.file);
         let len = fs::metadata(&path).unwrap().len();
         fs::OpenOptions::new()
@@ -673,14 +568,7 @@ mod tests {
     #[test]
     fn bitflip_is_detected_on_read() {
         let dir = scratch_dir("segment-bitflip");
-        let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        let (block, receipts) = test_block(g, 3);
-        w.append(&block, &receipts).unwrap();
-        w.sync(&mut Syncs::default()).unwrap();
-        w.append_index_run(&dir).unwrap();
-        let meta = w.meta().unwrap();
-        drop(w);
+        let meta = segment(&dir, 1, 3).meta().unwrap();
         let path = dir.join(&meta.file);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -698,13 +586,7 @@ mod tests {
         // Version 1 carried JSON payloads; there is no second read path.
         let dir = scratch_dir("segment-v1");
         let g = 10_000_000;
-        let mut w = SegmentWriter::create(&dir, 0, g).unwrap();
-        let (block, receipts) = test_block(g, 2);
-        w.append(&block, &receipts).unwrap();
-        w.sync(&mut Syncs::default()).unwrap();
-        w.append_index_run(&dir).unwrap();
-        let meta = w.meta().unwrap();
-        drop(w);
+        let meta = segment(&dir, 1, 2).meta().unwrap();
         let path = dir.join(&meta.file);
         let mut bytes = fs::read(&path).unwrap();
         let old = codec::to_vec(&SegmentHeader {
@@ -713,7 +595,7 @@ mod tests {
             first_block: g,
         });
         let mut frame = Vec::new();
-        encode_frame(&mut frame, FRAME_SEGMENT_HEADER, &old);
+        crate::encode_frame(&mut frame, FRAME_SEGMENT_HEADER, &old);
         bytes[..frame.len()].copy_from_slice(&frame);
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
@@ -761,15 +643,7 @@ mod tests {
             log_count: 0,
             bytes: 64,
             bloom: LogBloom::new(),
-            postings: crate::IndexMeta {
-                file: crate::index_file_name(0),
-                offset: 0,
-                bytes: 1,
-                rows: 0,
-                addrs: 0,
-                chunk_rows: 512,
-                dict_addrs: false,
-            },
+            postings: None,
         };
         assert!(matches!(
             read_segment(&dir, &meta),

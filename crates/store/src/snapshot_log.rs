@@ -51,6 +51,13 @@ pub trait Logged: Encode + Decode {
 
     /// Fold one committed change in.
     fn fold(&mut self, change: Self::Change) -> Result<(), StoreError>;
+
+    /// Refuse a snapshot payload this build must not read, before it or
+    /// any delta is decoded (and so before [`SnapshotLog::open`] cuts
+    /// anything off).
+    fn check_snapshot(_payload: &[u8]) -> Result<(), StoreError> {
+        Ok(())
+    }
 }
 
 /// A delta frame's payload: its seq, then the change.
@@ -132,6 +139,7 @@ fn read<S: Logged>(path: &Path) -> Result<Option<(S, SnapshotLog, u64)>, StoreEr
         }
         None => return Err(malformed(path, "empty log".to_string())),
     };
+    S::check_snapshot(snapshot.payload)?;
     let mut state: S = codec::from_slice(snapshot.payload)
         .map_err(|e| malformed(path, format!("snapshot: {e}")))?;
     let mut log = SnapshotLog::new(path);

@@ -3,9 +3,9 @@
 //! Appends are durable only after [`StoreWriter::commit`]. Nothing is
 //! synced as it is written: a sealed segment's compact sidecar is written
 //! once under its final name, and the writer keeps the handle of every
-//! file written since its last commit. A commit appends a fresh sidecar
-//! run to the tail's runs file, `sync_data`s each written file once (the
-//! tail, its runs file, sealed segments and their sidecars, compacted
+//! file written since its last commit. The open tail has no sidecar, so
+//! a tail commit writes no index. A commit `sync_data`s each written
+//! file once (the tail, sealed segments and their sidecars, compacted
 //! tiers), fsyncs the directory once if it created a file, and then
 //! reaches its single commit point: one delta appended to `MANIFEST` (or,
 //! when the deltas would outgrow both the snapshot and
@@ -80,9 +80,6 @@ pub struct StoreWriter {
     unsynced: Vec<(fs::File, PathBuf)>,
     /// Syncs this writer made outside `MANIFEST`.
     syncs: Syncs,
-    /// Tail runs files of segments sealed since the last commit; deleted
-    /// once the commit lands.
-    dead_runs: Vec<String>,
     /// Segments this writer has sealed.
     sealed: u64,
     /// Running aggregate tables; their changed rows ride each delta, the
@@ -98,8 +95,8 @@ pub struct StoreWriter {
 impl StoreWriter {
     /// Create a fresh store at `root` (the directory is created). Errors
     /// with [`StoreError::AlreadyExists`] if a manifest is already there,
-    /// and with [`StoreError::UnsupportedVersion`] over a format-3 store;
-    /// both write nothing.
+    /// and with [`StoreError::UnsupportedVersion`] over a store of another
+    /// format; both write nothing.
     pub fn create(
         root: &Path,
         timeline: Timeline,
@@ -107,8 +104,11 @@ impl StoreWriter {
     ) -> Result<StoreWriter, StoreError> {
         refuse_legacy(root)?;
         if root.join(MANIFEST_FILE).exists() {
-            return Err(StoreError::AlreadyExists {
-                root: root.to_path_buf(),
+            return Err(match Manifest::load(root) {
+                Err(e @ StoreError::UnsupportedVersion { .. }) => e,
+                _ => StoreError::AlreadyExists {
+                    root: root.to_path_buf(),
+                },
             });
         }
         fs::create_dir_all(root).map_err(|e| StoreError::io("create store dir", root, e))?;
@@ -146,7 +146,6 @@ impl StoreWriter {
             created_files: false,
             unsynced: Vec::new(),
             syncs: Syncs::default(),
-            dead_runs: Vec::new(),
             sealed: 0,
             rollups,
             log,
@@ -273,13 +272,9 @@ impl StoreWriter {
 
     /// Write the full tail segment's final (compact) sidecar index,
     /// record its meta, and hand both files to the next commit to sync.
-    /// The tail's runs file stays until the commit that names the compact
-    /// sidecar lands.
     fn seal_tail(&mut self) -> Result<(), StoreError> {
         if let Some(mut tail) = self.tail.take() {
-            let runs = tail.runs_file();
             let sidecar = tail.write_index(&self.root, false)?;
-            self.dead_runs.extend(runs);
             if let Some(meta) = tail.meta() {
                 self.record_meta(meta);
                 self.sealed += 1;
@@ -323,27 +318,26 @@ impl StoreWriter {
         }
     }
 
-    /// Make every append durable: append the partial tail's (if any)
-    /// sidecar run, record its zone map, and commit — by appending one
-    /// delta to `MANIFEST`, or by a snapshot when the deltas would
-    /// outgrow both the snapshot and the floor. Every file written since
-    /// the last commit is synced first, and the delta's `sync_data` (or
-    /// the snapshot's rename) is the single commit point: segment bytes,
-    /// index bytes and rollups land before it and become visible
-    /// together.
+    /// Make every append durable: record the partial tail's (if any)
+    /// zone map, and commit — by appending one delta to `MANIFEST`, or by
+    /// a snapshot when the deltas would outgrow both the snapshot and the
+    /// floor. Every file written since the last commit is synced first,
+    /// and the delta's `sync_data` (or the snapshot's rename) is the
+    /// single commit point: segment bytes, sealed segments' index bytes
+    /// and rollups land before it and become visible together.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         if !self.dirty {
             return Ok(());
         }
-        let tail_meta = match self.tail.as_mut() {
-            Some(tail) => {
-                self.created_files |= tail.append_index_run(&self.root)?;
-                tail.sync(&mut self.syncs)?;
-                tail.meta()
-            }
-            None => None,
-        };
-        if let Some(meta) = tail_meta {
+        if let Some(tail) = &self.tail {
+            tail.sync(&mut self.syncs)?;
+        }
+        if self.crash_before_commit {
+            // Test hook: the appended bytes are synced but never
+            // committed, as if the writer died here.
+            return Ok(());
+        }
+        if let Some(meta) = self.tail.as_ref().and_then(SegmentWriter::meta) {
             self.record_meta(meta);
         }
         let changed_from = self
@@ -359,13 +353,6 @@ impl StoreWriter {
         self.dirty = false;
         self.changed_from = None;
         self.rollups.clear_changes();
-        for runs in self.dead_runs.drain(..) {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a runs file left behind is an orphan the next open sweeps"
-            )]
-            let _ = fs::remove_file(self.root.join(runs));
-        }
         Ok(())
     }
 
@@ -587,9 +574,11 @@ impl StoreWriter {
         Ok(stats)
     }
 
-    /// Crash-simulation hook for compaction tests: when set, the next
+    /// Crash-simulation hook for tests: when set, a
     /// [`StoreWriter::compact`] writes its tier files but returns just
-    /// before the manifest swap, as a crash there would.
+    /// before the manifest swap, and a [`StoreWriter::commit`] syncs the
+    /// tail's appended bytes but returns before its commit point, as a
+    /// crash there would.
     pub fn simulate_crash_before_commit(&mut self, yes: bool) {
         self.crash_before_commit = yes;
     }
@@ -602,7 +591,7 @@ impl StoreWriter {
         let mut referenced = std::collections::HashSet::new();
         for seg in &self.manifest.segments {
             referenced.insert(seg.file.clone());
-            referenced.insert(seg.postings.file.clone());
+            referenced.extend(seg.postings.as_ref().map(|im| im.file.clone()));
         }
         let Ok(dir) = fs::read_dir(&self.root) else {
             return 0;
@@ -700,8 +689,8 @@ mod tests {
         let manifest = dir.join(MANIFEST_FILE);
         let inode = fs::metadata(&manifest).unwrap().ino();
         let mut bytes = fs::read(&manifest).unwrap();
-        let runs = dir.join(crate::postings::tail_sidecar_file_name("seg-00025.seg"));
-        let mut runs_len = 0;
+        let files = || fs::read_dir(&dir).unwrap().count();
+        let listed = files();
         for n in 201..=204 {
             w.ingest_tail(&test_chain(n, 2)).unwrap();
             let now = fs::read(&manifest).unwrap();
@@ -710,15 +699,17 @@ mod tests {
                 "the manifest only grows"
             );
             assert_eq!(fs::metadata(&manifest).unwrap().ino(), inode, "no rename");
-            let now_runs = fs::metadata(&runs).unwrap().len();
-            assert!(now_runs > runs_len, "runs only grow");
-            (bytes, runs_len) = (now, now_runs);
+            // The first commit starts the tail's segment file; no commit
+            // writes an index.
+            assert_eq!(files(), listed + 1);
+            bytes = now;
         }
         let m = Manifest::load(&dir).unwrap();
         assert_eq!(m.head_block(), Some(10_000_203));
-        let im = &m.segments[25].postings;
-        assert_eq!(im.bytes, runs_len, "the last run is the committed one");
-        assert!(im.offset > 0);
+        assert_eq!(
+            m.segments[25].postings, None,
+            "the open tail has no sidecar"
+        );
         let report = crate::StoreReader::open(&dir).unwrap().verify().unwrap();
         assert_eq!(
             (report.blocks, report.indexes, report.rollups),
@@ -728,17 +719,17 @@ mod tests {
     }
 
     #[test]
-    fn sealing_a_reopened_tail_drops_its_runs_file() {
+    fn sealing_a_reopened_tail_writes_its_sidecar() {
         let dir = scratch_dir("writer-reopen-seal");
         let mut w = StoreWriter::create(&dir, Timeline::paper_span(100), 4).unwrap();
         w.ingest_tail(&test_chain(6, 1)).unwrap();
-        let runs = dir.join(crate::postings::tail_sidecar_file_name("seg-00001.seg"));
-        assert!(runs.exists());
+        let sidecar = dir.join("seg-00001.idx");
+        assert!(!sidecar.exists(), "the open tail has no sidecar");
         drop(w);
         let mut w = StoreWriter::open(&dir).unwrap();
         w.ingest_tail(&test_chain(9, 1)).unwrap();
-        assert!(!runs.exists(), "the sealed segment's runs file is dead");
-        assert!(dir.join("seg-00001.idx").exists());
+        assert!(sidecar.exists());
+        assert!(!dir.join("seg-00002.idx").exists());
         crate::StoreReader::open(&dir).unwrap().verify().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -801,17 +792,17 @@ mod tests {
                 w.ingest_tail(&test_chain(n, 1)).unwrap();
             })
         };
-        // A new tail: its segment and runs file, then the directory
-        // entries they need, then the MANIFEST delta.
-        assert_eq!(commit(&mut w, 3), (3, 1));
+        // A new tail: its segment, then the directory entry it needs,
+        // then the MANIFEST delta. The tail writes no index.
+        assert_eq!(commit(&mut w, 3), (2, 1));
         // A tail commit that does not seal creates nothing.
-        assert_eq!(commit(&mut w, 5), (3, 0));
+        assert_eq!(commit(&mut w, 5), (2, 0));
         // Sealing: the segment and its new sidecar, then the directory
         // once, then the delta.
         assert_eq!(commit(&mut w, 8), (3, 1));
         // Sealing and starting a tail in one commit: still one directory
         // fsync.
-        assert_eq!(commit(&mut w, 18), (5, 1));
+        assert_eq!(commit(&mut w, 18), (4, 1));
         assert_eq!(commit(&mut w, 18), (0, 0), "nothing to commit");
         crate::StoreReader::open(&dir).unwrap().verify().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -827,7 +818,8 @@ mod tests {
             let stats = w.ingest(&test_chain(101, 1)).unwrap();
             assert_eq!(stats.segments_sealed, 50);
         });
-        assert_eq!(synced, (50 * 2 + 2 + 1, 1));
+        // Each sealed segment and its sidecar, the tail, the delta.
+        assert_eq!(synced, (50 * 2 + 1 + 1, 1));
         assert!(manifest_layout(&dir).1 > 0, "one delta, no snapshot");
         crate::StoreReader::open(&dir).unwrap().verify().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -864,41 +856,54 @@ mod tests {
 
     #[test]
     fn format_3_directories_are_refused_and_left_alone() {
-        let dir = scratch_dir("writer-format-3");
-        let chain = test_chain(6, 1);
-        StoreWriter::create(&dir, chain.timeline().clone(), 4)
-            .and_then(|mut w| w.ingest(&chain))
-            .unwrap();
-        // A format-3 store to this build: segment files and sidecars
-        // beside a `MANIFEST.json`, no `MANIFEST`.
-        fs::rename(dir.join(MANIFEST_FILE), dir.join("MANIFEST.json")).unwrap();
-        let listing = || {
-            let mut files: Vec<_> = fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| (fs::read(&p).unwrap(), p))
-                .collect();
-            files.sort();
-            files
-        };
-        let before = listing();
-        let tl = chain.timeline().clone();
-        for refused in [
-            StoreWriter::create(&dir, tl.clone(), 4).map(drop),
-            StoreWriter::open(&dir).map(drop),
-            StoreWriter::open_or_create(&dir, tl, 4).map(drop),
-            crate::StoreReader::open(&dir).map(drop),
-        ] {
-            assert!(
-                matches!(
-                    refused,
-                    Err(StoreError::UnsupportedVersion { found: 3, .. })
-                ),
-                "{refused:?}"
-            );
+        for found in [3, 4] {
+            let dir = scratch_dir(&format!("writer-format-{found}"));
+            let chain = test_chain(6, 1);
+            StoreWriter::create(&dir, chain.timeline().clone(), 4)
+                .and_then(|mut w| w.ingest(&chain))
+                .unwrap();
+            let manifest = dir.join(MANIFEST_FILE);
+            if found == 3 {
+                // Segment files and sidecars beside a `MANIFEST.json`, no
+                // `MANIFEST`.
+                fs::rename(&manifest, dir.join("MANIFEST.json")).unwrap();
+            } else {
+                // A `MANIFEST` whose snapshot says format 4, then a delta
+                // this build cannot decode: it must not be cut off.
+                let m = Manifest {
+                    version: 4,
+                    ..Manifest::load(&dir).unwrap()
+                };
+                SnapshotLog::new(&manifest).snapshot(&m).unwrap();
+                let mut delta = fs::read(&manifest).unwrap();
+                crate::encode_frame(&mut delta, crate::snapshot_log::FRAME_DELTA, &[1, 0xFF]);
+                fs::write(&manifest, delta).unwrap();
+            }
+            let listing = || {
+                let mut files: Vec<_> = fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .map(|p| (fs::read(&p).unwrap(), p))
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = listing();
+            let tl = chain.timeline().clone();
+            for refused in [
+                StoreWriter::create(&dir, tl.clone(), 4).map(drop),
+                StoreWriter::open(&dir).map(drop),
+                StoreWriter::open_or_create(&dir, tl, 4).map(drop),
+                crate::StoreReader::open(&dir).map(drop),
+            ] {
+                assert!(
+                    matches!(refused, Err(StoreError::UnsupportedVersion { found: f, .. }) if f == found),
+                    "{refused:?}"
+                );
+            }
+            assert_eq!(listing(), before, "nothing was written");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        assert_eq!(listing(), before, "nothing was written");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -961,10 +966,12 @@ mod tests {
         let m = Manifest::load(&dir).unwrap();
         assert_eq!(m.rollups.head_block, m.head_block());
         assert_eq!(m.rollups.logs, m.log_count());
-        // Every committed segment — sealed and tail alike — carries its
-        // sidecar, and the sidecar file is exactly the committed length.
-        for seg in &m.segments {
-            let im = &seg.postings;
+        // Every sealed segment carries its sidecar, exactly the committed
+        // length; the open tail has none.
+        let (tail, sealed) = m.segments.split_last().unwrap();
+        assert_eq!(tail.postings, None);
+        for seg in sealed {
+            let im = seg.postings.as_ref().unwrap();
             assert_eq!(im.rows, seg.log_count);
             let len = fs::metadata(dir.join(&im.file)).unwrap().len();
             assert_eq!(len, im.bytes);
@@ -1106,10 +1113,25 @@ mod tests {
         let (b0, r0) = it.next().unwrap();
         w.append(b0, r0).unwrap();
         w.commit().unwrap();
-        let (b1, r1) = it.next().unwrap();
-        w.append(b1, r1).unwrap();
-        // No commit: simulate a crash by dropping the writer here.
+        for (b, r) in it {
+            w.append(b, r).unwrap();
+        }
+        // The new tail bytes are synced, but the writer dies before their
+        // commit point.
+        w.simulate_crash_before_commit(true);
+        w.commit().unwrap();
         drop(w);
+        // The reader's tail index holds exactly the committed block's logs.
+        let r = crate::StoreReader::open(&dir).unwrap();
+        let idx = crate::SegmentIndex::load(&dir, &r.segments()[0]).unwrap();
+        let mut rows = idx.rows();
+        let logs: Vec<_> = (0..=idx.header.rows as u32)
+            .map_while(|row| rows.get(row).ok().map(|rd| rd.log))
+            .collect();
+        assert_eq!(
+            logs,
+            r0.iter().flat_map(|r| r.logs.clone()).collect::<Vec<_>>()
+        );
         let w2 = StoreWriter::open(&dir).unwrap();
         assert_eq!(w2.committed_head(), Some(10_000_000));
         assert_eq!(w2.next_block(), 10_000_001);

@@ -419,10 +419,11 @@ fn random_chains_round_trip_through_a_store() {
         assert_eq!(back, entries);
         let report = reader.verify().unwrap();
         assert_eq!(report.blocks, n);
-        // Sidecar rows reproduce every log in scan order.
+        // Index rows, sidecar or in-memory tail, reproduce every log in
+        // scan order.
         let mut rows = Vec::new();
         for meta in reader.segments() {
-            let idx = mev_store::SegmentIndex::open(&dir, meta).unwrap();
+            let idx = mev_store::SegmentIndex::load(&dir, meta).unwrap();
             let mut rr = idx.rows();
             for row in 0..idx.header.rows as u32 {
                 rows.push(rr.get(row).unwrap().log);

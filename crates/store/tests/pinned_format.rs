@@ -4,9 +4,9 @@
 //! seven-block chain in 4-block segments. `create` writes the empty
 //! store's `MANIFEST` snapshot; a batch `ingest` of the first six blocks
 //! writes one sealed segment with its compact sidecar, a 2-block tail
-//! with its first sidecar run, and one delta to `MANIFEST`; one
-//! `ingest_tail` of the seventh block then appends a second run to the
-//! tail's runs file and a second delta.
+//! (which has no sidecar), and one delta to `MANIFEST`; one
+//! `ingest_tail` of the seventh block then grows the tail and appends a
+//! second delta.
 //! The chain uses every `Action`, `LogEvent`, `TxFee`, `ExecOutcome` and
 //! `GroundTruth` variant and is written out literally (no PRNG, whose
 //! streams differ between generator implementations). The test rebuilds
@@ -265,8 +265,7 @@ fn pinned_chain(blocks: u32) -> ChainStore {
 }
 
 /// Build the pinned archive under `dir`: an empty-store snapshot, a batch
-/// ingest (manifest delta), then one tail commit (manifest delta +
-/// appended run).
+/// ingest (manifest delta), then one tail commit (manifest delta).
 fn write_archive(dir: &Path) {
     let batch = pinned_chain(BLOCKS - 1);
     let mut w = StoreWriter::create(dir, batch.timeline().clone(), 4).expect("create store");
@@ -310,8 +309,7 @@ fn archive_bytes_match_the_pinned_fixture() {
             "MANIFEST",
             "seg-00000.idx",
             "seg-00000.seg",
-            "seg-00001.seg",
-            "seg-00001.tail.idx"
+            "seg-00001.seg"
         ]
     );
     assert_eq!(names(&got), names(&want));
@@ -339,8 +337,7 @@ fn pinned_fixture_reads_back_as_the_chain() {
     assert_eq!(segs.len(), 2);
     assert_eq!((segs[0].blocks, segs[1].blocks), (4, 3));
     // The batch and tail commits are two deltas on top of the empty
-    // store's snapshot (both far below the snapshot floor), and the tail
-    // names its second run.
+    // store's snapshot (both far below the snapshot floor).
     let bytes = std::fs::read(fixture.join(mev_store::MANIFEST_FILE)).unwrap();
     let mut frames = SliceFrameReader::new(&bytes, &fixture, bytes.len() as u64);
     let snapshot = frames.next_frame().unwrap().unwrap();
@@ -353,8 +350,7 @@ fn pinned_fixture_reads_back_as_the_chain() {
         assert_eq!(delta.kind, FRAME_DELTA);
     }
     assert!(frames.next_frame().unwrap().is_none());
-    let tail_run = &segs[1].postings;
-    assert!(tail_run.offset > 0);
+    assert_eq!(segs[1].postings, None, "the open tail has no sidecar");
     let report = reader.verify().unwrap();
     assert_eq!((report.blocks, report.indexes, report.rollups), (7, 2, 1));
     let chain = pinned_chain(BLOCKS);

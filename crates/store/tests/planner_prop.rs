@@ -2,12 +2,16 @@
 //! the planner picks — full scan, inverted postings, rollup tables —
 //! must be bit-identical to the forced full scan on the same filter,
 //! page by page, cursor by cursor. And a damaged sidecar must degrade
-//! to the scan, never to a wrong answer or an error. The page-walk
-//! identity runs 64 seeded cases and the others 256;
-//! `PLANNER_SEED=<seed>` replays one.
+//! to the scan, never to a wrong answer or an error. The open tail,
+//! whose postings are built in memory, must answer exactly as its sealed
+//! sidecar later does. The page walks run 64 seeded cases and the others
+//! 256; `PLANNER_SEED=<seed>` replays one.
 
 use mev_store::testutil::{scratch_dir, test_chain};
-use mev_store::{ArchiveQuery, EventKind, GroupBy, LogFilter, QueryPlan, StoreReader, StoreWriter};
+use mev_store::{
+    ArchiveQuery, EventKind, GroupBy, LogFilter, LogPage, QueryPlan, QueryStats, StoreReader,
+    StoreWriter,
+};
 use mev_types::seeded::{check_seeds, Rng};
 use mev_types::Address;
 use std::path::PathBuf;
@@ -77,34 +81,97 @@ fn arb_selective_filter(rng: &mut Rng) -> LogFilter {
     }
 }
 
-/// Whatever the planner picks, the full page walk — entries *and*
-/// continuation cursors — matches the forced scan exactly.
+type Pages = Vec<(LogPage, QueryStats)>;
+
+/// Every page of `f`'s walk through `query`, with its stats.
+fn walk(mut f: LogFilter, query: impl Fn(&LogFilter) -> (LogPage, QueryStats)) -> Pages {
+    let mut pages = Vec::new();
+    for _ in 0..200 {
+        let (page, stats) = query(&f);
+        let next = page.next;
+        pages.push((page, stats));
+        match next {
+            Some(c) => f = f.after(c),
+            None => return pages,
+        }
+    }
+    panic!("pagination did not terminate within 200 pages");
+}
+
+/// The planner's walk of `f` on `reader`, checked page by page — entries
+/// *and* continuation cursors — against the forced scan's.
+fn planned_walk(reader: &StoreReader, f: &LogFilter) -> Pages {
+    let planned = walk(f.clone(), |f| reader.get_logs_with_stats(f).unwrap());
+    let scanned = walk(f.clone(), |f| reader.get_logs_scan_with_stats(f).unwrap());
+    assert_eq!(planned.len(), scanned.len(), "{f:?}");
+    for ((page, stats), (scan, scan_stats)) in planned.iter().zip(&scanned) {
+        assert_eq!(scan_stats.plan, QueryPlan::FullScan);
+        assert!(page == scan, "{f:?}");
+        if stats.plan == QueryPlan::Postings {
+            // The postings strategy never touches a data frame.
+            assert_eq!(stats.segments_read, 0);
+            assert_eq!(stats.data_frames_read, 0);
+        }
+    }
+    planned
+}
+
+/// Whatever the planner picks, the full page walk matches the forced
+/// scan exactly.
 #[test]
 fn planner_choice_is_bit_identical_to_scan() {
     check_seeds("PLANNER_SEED", 0x0009_1A77_E001, 64, |rng| {
-        let reader = StoreReader::open(archive_root()).unwrap();
-        let mut f = arb_filter(rng);
-        let mut terminated = false;
-        for _ in 0..200 {
-            let (planned, stats) = reader.get_logs_with_stats(&f).unwrap();
-            let (scanned, scan_stats) = reader.get_logs_scan_with_stats(&f).unwrap();
-            assert_eq!(scan_stats.plan, QueryPlan::FullScan);
-            assert_eq!(&planned.entries, &scanned.entries);
-            assert_eq!(planned.next, scanned.next);
-            if stats.plan == QueryPlan::Postings {
-                // The postings strategy never touches a data frame.
-                assert_eq!(stats.segments_read, 0);
-                assert_eq!(stats.data_frames_read, 0);
-            }
-            match planned.next {
-                Some(c) => f = f.after(c),
-                None => {
-                    terminated = true;
-                    break;
+        planned_walk(
+            &StoreReader::open(archive_root()).unwrap(),
+            &arb_filter(rng),
+        );
+    });
+}
+
+/// A store whose last segment is partial answers every filter as the
+/// scan does, its tail's postings built in memory; once more blocks seal
+/// that segment, the same filter over the same blocks gives the same
+/// pages, and the same stats from the sealed sidecar. Every tail holds
+/// an even block, so it and its sealed segment share one bloom.
+#[test]
+fn the_open_tail_answers_like_its_sealed_sidecar() {
+    check_seeds("PLANNER_SEED", 0x0009_1A77_E005, 64, |rng| {
+        let segment_blocks = 2 + rng.below(7);
+        let sealed = segment_blocks * (1 + rng.below(3));
+        let tail_start = sealed - segment_blocks;
+        let min_tail = if tail_start % 2 == 1 { 2 } else { 1 };
+        let open = tail_start + min_tail + rng.below(segment_blocks - min_tail);
+        let txs = 1 + rng.below(TXS_PER_BLOCK);
+        let dir = scratch_dir("planner-prop-tail");
+        let chain = test_chain(open, txs);
+        let mut w = StoreWriter::create(&dir, chain.timeline().clone(), segment_blocks).unwrap();
+        w.ingest_tail(&chain).unwrap();
+        let head = chain.head_number().unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.segments().last().unwrap().postings.is_none());
+        let walked: Vec<(LogFilter, Pages)> = (0..8)
+            .map(|_| {
+                let mut f = arb_filter(rng);
+                f.to_block = Some(f.to_block.map_or(head, |t| t.min(head)));
+                let pages = planned_walk(&reader, &f);
+                (f, pages)
+            })
+            .collect();
+        w.ingest_tail(&test_chain(sealed, txs)).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        assert!(reader.segments().iter().all(|s| s.postings.is_some()));
+        for (f, was) in &walked {
+            let now = walk(f.clone(), |f| reader.get_logs_with_stats(f).unwrap());
+            assert_eq!(now.len(), was.len(), "{f:?}");
+            for ((page, stats), (was_page, was_stats)) in now.iter().zip(was) {
+                assert!(page == was_page, "{f:?}");
+                // A scan's data frames count the whole segment it reads.
+                if stats.plan == QueryPlan::Postings {
+                    assert_eq!(stats, was_stats, "{f:?}");
                 }
             }
         }
-        assert!(terminated, "pagination did not terminate within 200 pages");
+        std::fs::remove_dir_all(&dir).ok();
     });
 }
 

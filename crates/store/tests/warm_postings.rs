@@ -181,7 +181,8 @@ fn warm_postings_read_nothing_from_disk() {
     for f in &filters {
         walk(&warm, f, |_, p| before.push(p.clone()));
     }
-    // Move every sidecar away, sealed and tail alike.
+    // Move every sidecar away; the open tail has none, and its index,
+    // built in memory, stays in the cache with the others.
     let mut moved = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
         let path = entry.unwrap().path();
@@ -190,7 +191,7 @@ fn warm_postings_read_nothing_from_disk() {
             moved += 1;
         }
     }
-    assert_eq!(moved, segments, "one sidecar file per segment");
+    assert_eq!(moved, segments - 1, "one sidecar file per sealed segment");
     let mut after: Vec<Page> = Vec::new();
     for f in &filters {
         walk(&warm, f, |f, p| {

@@ -96,6 +96,12 @@ pub fn from_slice<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
     Ok(value)
 }
 
+/// Decode one `T` from the front of `bytes`, ignoring what follows (a
+/// leading version field read before the rest's layout is known).
+pub fn from_prefix<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
+    T::decode(&mut Reader::new(bytes))
+}
+
 /// Append `v` as unsigned LEB128.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {

@@ -118,6 +118,19 @@ impl H256 {
         &self.0
     }
 
+    /// The full `0x`-prefixed 64-digit hex form, which names the digest
+    /// exactly (`Display` shows only the first 8 bytes).
+    pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut s = String::with_capacity(66);
+        s.push_str("0x");
+        for b in self.0 {
+            s.push(DIGITS[(b >> 4) as usize] as char);
+            s.push(DIGITS[(b & 0xf) as usize] as char);
+        }
+        s
+    }
+
     /// Interpret the first 8 bytes as a big-endian integer (for sampling).
     pub fn prefix_u64(&self) -> u64 {
         let mut x = [0u8; 8];

@@ -98,6 +98,40 @@ fn multi_leg_routes_reach_the_detector() {
     );
 }
 
+/// The open-data export names whole transactions: every hash that
+/// `detections.json` and `detections.csv` carry is the full hash of a
+/// transaction of the exported chain.
+#[test]
+fn exported_hashes_resolve_to_transactions_of_the_chain() {
+    use flashpan::inspect::export;
+    let out = Simulation::new(tiny()).run();
+    let ds = Inspector::new(&out.chain, &out.blocks_api).run().unwrap();
+    let txs: std::collections::HashSet<String> = out
+        .chain
+        .iter()
+        .flat_map(|(block, _)| block.transactions.iter().map(|tx| tx.hash().to_hex()))
+        .collect();
+    let (json, csv) = (export::detections_json(&ds), export::detections_csv(&ds));
+    for (file, text, at_least) in [
+        ("json", &json, ds.detections.len()),
+        ("csv", &csv, ds.of_kind(MevKind::Sandwich).count()),
+    ] {
+        assert!(!text.contains('…'), "{file} carries a truncated hash");
+        // A 64-digit hex token is a hash; addresses have 40 digits.
+        let hashes: Vec<&str> = text
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|t| t.len() == 66 && t.starts_with("0x"))
+            .collect();
+        assert!(hashes.len() >= at_least.max(1), "{file}: {}", hashes.len());
+        for h in hashes {
+            assert!(
+                txs.contains(h),
+                "{file} names {h}, no transaction of the chain"
+            );
+        }
+    }
+}
+
 /// Every figure, the churn and the export read block facts from the
 /// dataset's index alone, so analysis is insensitive to where detection
 /// ran: a dataset detected over the on-disk store (its index decoded from
