@@ -23,9 +23,12 @@ pub const FRAME_HEADER_BYTES: u64 = 9;
 /// blocks; anything past this is a corrupt length field, not data.
 pub const MAX_FRAME_PAYLOAD: u32 = 256 * 1024 * 1024;
 
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE, reflected) slicing-by-8 tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so one step folds 8
+/// input bytes with 8 independent lookups instead of a chain of 8.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -38,42 +41,58 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
 /// Incremental CRC-32 over a kind byte plus payload.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
+struct Crc32(u32);
 
 impl Crc32 {
-    pub fn new() -> Crc32 {
+    fn new() -> Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut chunks = bytes.chunks_exact(8);
+        for b in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t7[(lo & 0xFF) as usize]
+                ^ t6[((lo >> 8) & 0xFF) as usize]
+                ^ t5[((lo >> 16) & 0xFF) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[b[4] as usize]
+                ^ t2[b[5] as usize]
+                ^ t1[b[6] as usize]
+                ^ t0[b[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t0[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
 
-    pub fn finish(self) -> u32 {
+    fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }
 
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
-    }
-}
-
 /// One-shot CRC-32 of a kind byte and payload — the frame checksum.
-pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(&[kind]);
     c.update(payload);
@@ -108,34 +127,16 @@ pub struct Frame {
     pub offset: u64,
 }
 
-/// Streaming frame reader over any `Read`, bounded by the committed byte
-/// count recorded in the manifest.
-pub struct FrameReader<R: Read> {
-    inner: R,
+/// A reader's place in a committed stream. Both readers make every
+/// check through it, so they report each corruption shape alike.
+struct Position {
     path: PathBuf,
     offset: u64,
     /// Committed bytes; reading stops exactly here.
     limit: u64,
 }
 
-impl<R: Read> FrameReader<R> {
-    /// `limit` is the committed length of the stream: the reader yields
-    /// frames until `limit` and treats anything that crosses it as
-    /// truncation.
-    pub fn new(inner: R, path: &Path, limit: u64) -> FrameReader<R> {
-        FrameReader {
-            inner,
-            path: path.to_path_buf(),
-            offset: 0,
-            limit,
-        }
-    }
-
-    /// Bytes consumed so far.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
+impl Position {
     fn truncated(&self) -> StoreError {
         StoreError::TruncatedFrame {
             path: self.path.clone(),
@@ -143,32 +144,22 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
-        let mut read = 0;
-        while read < buf.len() {
-            match self.inner.read(&mut buf[read..]) {
-                Ok(0) => return Err(self.truncated()),
-                Ok(n) => read += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(StoreError::io("read frame", &self.path, e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Read the next frame, or `None` at the committed limit.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, StoreError> {
+    /// `false` at the committed limit; an error when a header no longer
+    /// fits before it.
+    fn more(&self) -> Result<bool, StoreError> {
         if self.offset == self.limit {
-            return Ok(None);
+            return Ok(false);
         }
         if self.offset + FRAME_HEADER_BYTES > self.limit {
             return Err(self.truncated());
         }
-        let mut header = [0u8; FRAME_HEADER_BYTES as usize];
-        self.fill(&mut header)?;
+        Ok(true)
+    }
+
+    /// The payload length in the [`FRAME_HEADER_BYTES`] of `header`,
+    /// once it is plausible and the frame ends by the limit.
+    fn payload_len(&self, header: &[u8]) -> Result<usize, StoreError> {
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let kind = header[4];
-        let want_crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
         if len > MAX_FRAME_PAYLOAD {
             return Err(StoreError::Codec {
                 path: self.path.clone(),
@@ -181,21 +172,80 @@ impl<R: Read> FrameReader<R> {
         if self.offset + FRAME_HEADER_BYTES + len as u64 > self.limit {
             return Err(self.truncated());
         }
-        let mut payload = vec![0u8; len as usize];
-        self.fill(&mut payload)?;
-        if frame_crc(kind, &payload) != want_crc {
+        Ok(len as usize)
+    }
+
+    /// Check `payload` against `header`'s CRC and step past the frame.
+    /// Returns the frame's kind and offset.
+    fn advance(&mut self, header: &[u8], payload: &[u8]) -> Result<(u8, u64), StoreError> {
+        let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+        if frame_crc(header[4], payload) != crc {
             return Err(StoreError::ChecksumMismatch {
                 path: self.path.clone(),
                 offset: self.offset,
             });
         }
-        let frame = Frame {
+        let at = self.offset;
+        self.offset += FRAME_HEADER_BYTES + payload.len() as u64;
+        Ok((header[4], at))
+    }
+}
+
+/// Streaming frame reader over any `Read`, bounded by the committed byte
+/// count recorded in the manifest.
+pub struct FrameReader<R: Read> {
+    inner: R,
+    at: Position,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// `limit` is the committed length of the stream: the reader yields
+    /// frames until `limit` and treats anything that crosses it as
+    /// truncation.
+    pub fn new(inner: R, path: &Path, limit: u64) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            at: Position {
+                path: path.to_path_buf(),
+                offset: 0,
+                limit,
+            },
+        }
+    }
+
+    /// Bytes consumed so far.
+    pub fn offset(&self) -> u64 {
+        self.at.offset
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
+        let mut read = 0;
+        while read < buf.len() {
+            match self.inner.read(&mut buf[read..]) {
+                Ok(0) => return Err(self.at.truncated()),
+                Ok(n) => read += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(StoreError::io("read frame", &self.at.path, e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Read the next frame, or `None` at the committed limit.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, StoreError> {
+        if !self.at.more()? {
+            return Ok(None);
+        }
+        let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+        self.fill(&mut header)?;
+        let mut payload = vec![0u8; self.at.payload_len(&header)?];
+        self.fill(&mut payload)?;
+        let (kind, offset) = self.at.advance(&header, &payload)?;
+        Ok(Some(Frame {
             kind,
             payload,
-            offset: self.offset,
-        };
-        self.offset += FRAME_HEADER_BYTES + len as u64;
-        Ok(Some(frame))
+            offset,
+        }))
     }
 }
 
@@ -217,10 +267,7 @@ pub struct FrameSlice<'a> {
 /// are interchangeable. Payloads are borrowed, never copied.
 pub struct SliceFrameReader<'a> {
     bytes: &'a [u8],
-    path: PathBuf,
-    offset: u64,
-    /// Committed bytes; reading stops exactly here.
-    limit: u64,
+    at: Position,
 }
 
 impl<'a> SliceFrameReader<'a> {
@@ -231,76 +278,45 @@ impl<'a> SliceFrameReader<'a> {
     pub fn new(bytes: &'a [u8], path: &Path, limit: u64) -> SliceFrameReader<'a> {
         SliceFrameReader {
             bytes,
-            path: path.to_path_buf(),
-            offset: 0,
-            limit: limit.min(bytes.len() as u64),
+            at: Position {
+                path: path.to_path_buf(),
+                offset: 0,
+                limit: limit.min(bytes.len() as u64),
+            },
         }
     }
 
     /// Bytes consumed so far.
     pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    fn truncated(&self) -> StoreError {
-        StoreError::TruncatedFrame {
-            path: self.path.clone(),
-            offset: self.offset,
-        }
+        self.at.offset
     }
 
     /// Read the next frame, or `None` at the committed limit.
     pub fn next_frame(&mut self) -> Result<Option<FrameSlice<'a>>, StoreError> {
-        if self.offset == self.limit {
+        if !self.at.more()? {
             return Ok(None);
         }
-        if self.offset + FRAME_HEADER_BYTES > self.limit {
-            return Err(self.truncated());
-        }
-        let at = self.offset as usize;
-        let header = match self.bytes.get(at..at + FRAME_HEADER_BYTES as usize) {
-            Some(h) => h,
-            None => return Err(self.truncated()),
+        let start = (self.at.offset + FRAME_HEADER_BYTES) as usize;
+        let Some(header) = self.bytes.get(self.at.offset as usize..start) else {
+            return Err(self.at.truncated());
         };
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let kind = header[4];
-        let want_crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(StoreError::Codec {
-                path: self.path.clone(),
-                detail: format!(
-                    "frame at byte {} declares implausible length {len}",
-                    self.offset
-                ),
-            });
-        }
-        if self.offset + FRAME_HEADER_BYTES + len as u64 > self.limit {
-            return Err(self.truncated());
-        }
-        let start = at + FRAME_HEADER_BYTES as usize;
-        let payload = match self.bytes.get(start..start + len as usize) {
-            Some(p) => p,
-            None => return Err(self.truncated()),
+        let end = start + self.at.payload_len(header)?;
+        let Some(payload) = self.bytes.get(start..end) else {
+            return Err(self.at.truncated());
         };
-        if frame_crc(kind, payload) != want_crc {
-            return Err(StoreError::ChecksumMismatch {
-                path: self.path.clone(),
-                offset: self.offset,
-            });
-        }
-        let frame = FrameSlice {
+        let (kind, offset) = self.at.advance(header, payload)?;
+        Ok(Some(FrameSlice {
             kind,
             payload,
-            offset: self.offset,
-        };
-        self.offset += FRAME_HEADER_BYTES + len as u64;
-        Ok(Some(frame))
+            offset,
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mev_types::seeded::check_seeds;
 
     fn read_all(bytes: &[u8]) -> Result<Vec<Frame>, StoreError> {
         let mut r = FrameReader::new(bytes, Path::new("test.seg"), bytes.len() as u64);
@@ -311,12 +327,69 @@ mod tests {
         Ok(out)
     }
 
+    /// CRC-32 one bit at a time, with no table: the reference the
+    /// sliced kernel must match.
+    fn reference_crc(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926 — the standard check value.
         let mut c = Crc32::new();
         c.update(b"123456789");
         assert_eq!(c.finish(), 0xCBF4_3926);
+        assert_eq!(reference_crc(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The sliced kernel equals the bitwise reference on buffers of 0 to
+    /// 4,096 bytes, at every start offset modulo 8, whole and fed in
+    /// random pieces. `CRC_SEED=<seed>` replays one case.
+    #[test]
+    fn sliced_crc_matches_the_bitwise_reference() {
+        check_seeds("CRC_SEED", 0xC8C3_2008, 128, |rng| {
+            let len = match rng.below(3) {
+                0 => rng.below(17),
+                1 => rng.below(257),
+                _ => rng.below(4097),
+            } as usize;
+            let base: Vec<u8> = (0..len + 7).map(|_| rng.next_u64() as u8).collect();
+            for start in 0..8 {
+                let bytes = &base[start..start + len];
+                let want = reference_crc(bytes);
+                let mut whole = Crc32::new();
+                whole.update(bytes);
+                assert_eq!(whole.finish(), want, "{len} bytes at offset {start}");
+                let mut pieces = Crc32::new();
+                let mut rest = bytes;
+                while !rest.is_empty() {
+                    let most = if rng.below(2) == 0 {
+                        rest.len().min(17)
+                    } else {
+                        rest.len()
+                    };
+                    let (head, tail) = rest.split_at(rng.below(most as u64 + 1) as usize);
+                    pieces.update(head);
+                    rest = tail;
+                }
+                assert_eq!(
+                    pieces.finish(),
+                    want,
+                    "{len} bytes at offset {start}, split"
+                );
+            }
+        });
     }
 
     #[test]

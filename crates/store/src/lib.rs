@@ -138,7 +138,7 @@ pub mod writer;
 
 pub use bloom::{kind_of, kind_tag, BloomQuery, LogBloom, BLOOM_BITS};
 pub use error::StoreError;
-pub use frame::{encode_frame, frame_crc, Crc32, Frame, FrameReader, FrameSlice, SliceFrameReader};
+pub use frame::{encode_frame, Frame, FrameReader, FrameSlice, SliceFrameReader};
 pub use manifest::{Manifest, ManifestChange, SegmentMeta, FORMAT_VERSION, MANIFEST_FILE};
 pub use mmap::Mmap;
 pub use planner::{plan_aggregate, plan_logs, GroupBy};

@@ -16,9 +16,12 @@
 //! thus not rewritten on every other commit. A log with no known
 //! snapshot (new, or after a failed append) always snapshots first.
 //! [`load`] folds in every whole delta whose seq is the previous + 1 and
-//! stops at the first that is not: a torn or damaged last delta costs
-//! only that commit. [`SnapshotLog::open`] also cuts such a tail off
-//! before the next append.
+//! stops at the first frame that is torn, fails its CRC or skips a seq:
+//! a torn or damaged last delta costs only that commit.
+//! [`SnapshotLog::open`] also cuts such a tail off before the next
+//! append. A whole, CRC-valid frame that is not a delta or does not
+//! decode was committed by some writer, so loading it is an error and
+//! nothing is cut.
 //!
 //! Every file and directory sync in the store goes through `Syncs`,
 //! which counts them for the writer that owns it and into the `mev_obs`
@@ -145,15 +148,22 @@ fn read<S: Logged>(path: &Path) -> Result<Option<(S, SnapshotLog, u64)>, StoreEr
     let mut log = SnapshotLog::new(path);
     log.snapshot_bytes = reader.offset();
     log.end = log.snapshot_bytes;
-    // Stop at the first frame that is torn, fails its CRC, is not a
-    // delta, or does not carry the next seq.
+    // Stop at the first frame that is torn or fails its CRC, or at a
+    // delta that does not carry the next seq: a commit that never
+    // landed. A whole frame that is not a delta this build decodes was
+    // committed, so it is an error, and `open` cuts nothing.
     while let Ok(Some(frame)) = reader.next_frame() {
         if frame.kind != FRAME_DELTA {
-            break;
+            return Err(malformed(
+                path,
+                format!(
+                    "frame kind {} at byte {} is not a delta",
+                    frame.kind, frame.offset
+                ),
+            ));
         }
-        let Ok(delta) = codec::from_slice::<Delta<S::Change>>(frame.payload) else {
-            break;
-        };
+        let delta = codec::from_slice::<Delta<S::Change>>(frame.payload)
+            .map_err(|e| malformed(path, format!("delta at byte {}: {e}", frame.offset)))?;
         if delta.seq != log.seq + 1 {
             break;
         }

@@ -906,6 +906,36 @@ mod tests {
         }
     }
 
+    /// A whole, CRC-valid frame after the snapshot that is not a delta
+    /// this build decodes was committed, not torn: opening a store of
+    /// the current format refuses it and leaves `MANIFEST` as it was.
+    #[test]
+    fn a_committed_frame_that_does_not_decode_is_an_error_and_is_kept() {
+        use crate::snapshot_log::{FRAME_DELTA, FRAME_SNAPSHOT};
+        for (kind, payload) in [(FRAME_DELTA, &[1u8, 0xFF][..]), (FRAME_SNAPSHOT, &[])] {
+            let dir = scratch_dir(&format!("writer-undecodable-{kind}"));
+            let chain = test_chain(6, 1);
+            StoreWriter::create(&dir, chain.timeline().clone(), 4)
+                .and_then(|mut w| w.ingest(&chain))
+                .unwrap();
+            let manifest = dir.join(MANIFEST_FILE);
+            let mut log = fs::read(&manifest).unwrap();
+            crate::encode_frame(&mut log, kind, payload);
+            fs::write(&manifest, &log).unwrap();
+            let opened = StoreWriter::open(&dir).map(drop);
+            assert!(
+                matches!(&opened, Err(StoreError::ManifestInvalid { detail }) if detail.contains("delta")),
+                "kind {kind}: {opened:?}"
+            );
+            assert_eq!(
+                fs::read(&manifest).unwrap(),
+                log,
+                "kind {kind}: nothing was cut"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn reingest_is_incremental() {
         let dir = scratch_dir("writer-reingest");
