@@ -108,13 +108,6 @@ impl LogBloom {
     pub fn fill_ratio(&self) -> f64 {
         self.ones() as f64 / BLOOM_BITS as f64
     }
-
-    /// Merge another bloom into this one (union of the indexed sets).
-    pub fn union_with(&mut self, other: &LogBloom) {
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w |= o;
-        }
-    }
 }
 
 // The manifest carries blooms as their word vector (LEB128 words, so a
@@ -356,17 +349,6 @@ mod tests {
                 .addresses([a2, a1])
                 .kinds([EventKind::Transfer, EventKind::Swap])
         ));
-    }
-
-    #[test]
-    fn union_covers_both_sides() {
-        let mut a = LogBloom::new();
-        let mut b = LogBloom::new();
-        a.insert(Address::from_index(1), EventKind::Swap);
-        b.insert(Address::from_index(2), EventKind::Repay);
-        a.union_with(&b);
-        assert!(a.may_match(&LogFilter::new().address(Address::from_index(1))));
-        assert!(a.may_match(&LogFilter::new().address(Address::from_index(2))));
     }
 
     #[test]

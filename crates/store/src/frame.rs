@@ -11,9 +11,16 @@
 //! manifest: bytes past the limit are an uncommitted crash residue and
 //! are never read; a frame that crosses the limit, or a file that ends
 //! mid-frame, is a [`StoreError::TruncatedFrame`].
+//!
+//! There is one read path. `CommittedFile` reads a byte range inside a
+//! file's committed bytes into a buffer of exactly that length, and
+//! [`SliceFrameReader`] walks the buffer, borrowing every payload.
 
 use crate::error::StoreError;
-use std::io::Read;
+use mev_types::codec::{self, Decode};
+use std::fs;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Bytes of `[len][kind][crc32]` before each payload.
@@ -118,17 +125,7 @@ pub fn seal_frame(frame: &mut [u8], kind: u8) -> u64 {
     frame.len() as u64
 }
 
-/// A decoded frame with its position in the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    pub kind: u8,
-    pub payload: Vec<u8>,
-    /// Byte offset of the frame header within the file.
-    pub offset: u64,
-}
-
-/// A reader's place in a committed stream. Both readers make every
-/// check through it, so they report each corruption shape alike.
+/// A reader's place in a committed stream: every check is made here.
 struct Position {
     path: PathBuf,
     offset: u64,
@@ -137,6 +134,14 @@ struct Position {
 }
 
 impl Position {
+    /// A [`StoreError::Codec`] about the frame at byte `at`.
+    fn codec(&self, at: u64, detail: String) -> StoreError {
+        StoreError::Codec {
+            path: self.path.clone(),
+            detail: format!("frame at byte {at}: {detail}"),
+        }
+    }
+
     fn truncated(&self) -> StoreError {
         StoreError::TruncatedFrame {
             path: self.path.clone(),
@@ -161,13 +166,8 @@ impl Position {
     fn payload_len(&self, header: &[u8]) -> Result<usize, StoreError> {
         let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
         if len > MAX_FRAME_PAYLOAD {
-            return Err(StoreError::Codec {
-                path: self.path.clone(),
-                detail: format!(
-                    "frame at byte {} declares implausible length {len}",
-                    self.offset
-                ),
-            });
+            let detail = format!("declares implausible length {len}");
+            return Err(self.codec(self.offset, detail));
         }
         if self.offset + FRAME_HEADER_BYTES + len as u64 > self.limit {
             return Err(self.truncated());
@@ -191,67 +191,8 @@ impl Position {
     }
 }
 
-/// Streaming frame reader over any `Read`, bounded by the committed byte
-/// count recorded in the manifest.
-pub struct FrameReader<R: Read> {
-    inner: R,
-    at: Position,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// `limit` is the committed length of the stream: the reader yields
-    /// frames until `limit` and treats anything that crosses it as
-    /// truncation.
-    pub fn new(inner: R, path: &Path, limit: u64) -> FrameReader<R> {
-        FrameReader {
-            inner,
-            at: Position {
-                path: path.to_path_buf(),
-                offset: 0,
-                limit,
-            },
-        }
-    }
-
-    /// Bytes consumed so far.
-    pub fn offset(&self) -> u64 {
-        self.at.offset
-    }
-
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
-        let mut read = 0;
-        while read < buf.len() {
-            match self.inner.read(&mut buf[read..]) {
-                Ok(0) => return Err(self.at.truncated()),
-                Ok(n) => read += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(StoreError::io("read frame", &self.at.path, e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Read the next frame, or `None` at the committed limit.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, StoreError> {
-        if !self.at.more()? {
-            return Ok(None);
-        }
-        let mut header = [0u8; FRAME_HEADER_BYTES as usize];
-        self.fill(&mut header)?;
-        let mut payload = vec![0u8; self.at.payload_len(&header)?];
-        self.fill(&mut payload)?;
-        let (kind, offset) = self.at.advance(&header, &payload)?;
-        Ok(Some(Frame {
-            kind,
-            payload,
-            offset,
-        }))
-    }
-}
-
-/// A frame whose payload borrows the underlying byte image (an mmap'd
-/// segment) instead of owning a copy — the zero-copy twin of [`Frame`].
-/// The CRC has already been verified over the borrowed bytes.
+/// A frame whose payload borrows the byte image it was read from. The
+/// CRC has already been verified over the borrowed bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSlice<'a> {
     pub kind: u8,
@@ -260,21 +201,19 @@ pub struct FrameSlice<'a> {
     pub offset: u64,
 }
 
-/// Frame reader over an in-memory byte image (an [`crate::mmap::Mmap`]
-/// or any `&[u8]`), bounded by the committed byte count exactly like
-/// [`FrameReader`] — same `None`-at-limit rule and the same
-/// [`StoreError`] variants for every corruption shape, so the two paths
-/// are interchangeable. Payloads are borrowed, never copied.
+/// Frame reader over a byte image (a `CommittedFile` read or any
+/// `&[u8]`), bounded by the committed byte count: `None` at the limit,
+/// a [`StoreError`] for every corruption shape. Payloads are borrowed,
+/// never copied.
 pub struct SliceFrameReader<'a> {
     bytes: &'a [u8],
     at: Position,
 }
 
 impl<'a> SliceFrameReader<'a> {
-    /// `limit` is the committed length of the stream; it must not exceed
-    /// `bytes.len()` (callers stat the file against the manifest first —
-    /// a shorter image surfaces as [`StoreError::TruncatedFrame`], never
-    /// an out-of-bounds read).
+    /// `limit` is the committed length of the stream; a `bytes` shorter
+    /// than it surfaces as [`StoreError::TruncatedFrame`], never an
+    /// out-of-bounds read.
     pub fn new(bytes: &'a [u8], path: &Path, limit: u64) -> SliceFrameReader<'a> {
         SliceFrameReader {
             bytes,
@@ -311,6 +250,95 @@ impl<'a> SliceFrameReader<'a> {
             offset,
         }))
     }
+
+    /// Decode the next frame, which must be a `kind` frame (`what` names
+    /// it): a missing frame, another kind or a payload that does not
+    /// decode is a [`StoreError::Codec`].
+    pub fn decode_next<T: Decode>(&mut self, kind: u8, what: &str) -> Result<T, StoreError> {
+        let at = self.at.offset;
+        let detail = match self.next_frame()? {
+            Some(frame) if frame.kind == kind => match codec::from_slice(frame.payload) {
+                Ok(value) => return Ok(value),
+                Err(e) => format!("{what}: {e}"),
+            },
+            Some(frame) => format!("kind {} is not {what}", frame.kind),
+            None => format!("no {what}"),
+        };
+        Err(self.at.codec(at, detail))
+    }
+}
+
+/// A store file opened for reads inside its committed bytes — the one
+/// way the store reads a segment or sidecar.
+pub(crate) struct CommittedFile {
+    file: fs::File,
+    path: PathBuf,
+    committed: u64,
+}
+
+impl CommittedFile {
+    /// Open `path`, whose first `committed` bytes the manifest commits:
+    /// [`StoreError::SegmentMissing`] when it is absent,
+    /// [`StoreError::SegmentTruncated`] when it is shorter.
+    pub(crate) fn open(path: &Path, committed: u64) -> Result<CommittedFile, StoreError> {
+        let file = match fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(StoreError::SegmentMissing {
+                    path: path.to_path_buf(),
+                })
+            }
+            Err(e) => return Err(StoreError::io("open store file", path, e)),
+        };
+        let actual = file
+            .metadata()
+            .map_err(|e| StoreError::io("stat store file", path, e))?
+            .len();
+        if actual < committed {
+            return Err(StoreError::SegmentTruncated {
+                path: path.to_path_buf(),
+                committed,
+                actual,
+            });
+        }
+        Ok(CommittedFile {
+            file,
+            path: path.to_path_buf(),
+            committed,
+        })
+    }
+
+    /// Bytes `range` of the file, read with one seek and one
+    /// `read_exact` into a buffer of exactly that length. A range that
+    /// ends past the committed bytes, or a file cut short since
+    /// [`CommittedFile::open`], is a [`StoreError::TruncatedFrame`] at
+    /// the range's start.
+    pub(crate) fn read(&mut self, range: Range<u64>) -> Result<Vec<u8>, StoreError> {
+        let truncated = || StoreError::TruncatedFrame {
+            path: self.path.clone(),
+            offset: range.start,
+        };
+        if range.end > self.committed || range.start > range.end {
+            return Err(truncated());
+        }
+        let mut buf = vec![0u8; (range.end - range.start) as usize];
+        self.file
+            .seek(SeekFrom::Start(range.start))
+            .map_err(|e| StoreError::io("seek store file", &self.path, e))?;
+        self.file.read_exact(&mut buf).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => truncated(),
+            _ => StoreError::io("read store file", &self.path, e),
+        })?;
+        Ok(buf)
+    }
+
+    /// The end of the frame that starts at byte `at`, from its length
+    /// field; reading up to it checks it against the committed bytes.
+    pub(crate) fn frame_end(&mut self, at: u64) -> Result<u64, StoreError> {
+        let header = self.read(at..at + FRAME_HEADER_BYTES)?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        Ok(at + FRAME_HEADER_BYTES + len as u64)
+    }
 }
 
 #[cfg(test)]
@@ -318,8 +346,9 @@ mod tests {
     use super::*;
     use mev_types::seeded::check_seeds;
 
-    fn read_all(bytes: &[u8]) -> Result<Vec<Frame>, StoreError> {
-        let mut r = FrameReader::new(bytes, Path::new("test.seg"), bytes.len() as u64);
+    /// Every frame of `bytes` up to `limit`.
+    fn read_all(bytes: &[u8], limit: u64) -> Result<Vec<FrameSlice<'_>>, StoreError> {
+        let mut r = SliceFrameReader::new(bytes, Path::new("test.seg"), limit);
         let mut out = Vec::new();
         while let Some(f) = r.next_frame()? {
             out.push(f);
@@ -398,12 +427,12 @@ mod tests {
         encode_frame(&mut buf, 1, b"hello");
         encode_frame(&mut buf, 2, b"");
         encode_frame(&mut buf, 2, &[0xAB; 1000]);
-        let frames = read_all(&buf).unwrap();
+        let frames = read_all(&buf, buf.len() as u64).unwrap();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].kind, 1);
         assert_eq!(frames[0].payload, b"hello");
         assert_eq!(frames[1].payload, b"");
-        assert_eq!(frames[2].payload, vec![0xAB; 1000]);
+        assert_eq!(frames[2].payload, &[0xAB; 1000][..]);
         assert_eq!(frames[1].offset, FRAME_HEADER_BYTES + 5);
     }
 
@@ -413,7 +442,7 @@ mod tests {
         encode_frame(&mut buf, 1, b"payload-bytes");
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        match read_all(&buf) {
+        match read_all(&buf, buf.len() as u64) {
             Err(StoreError::ChecksumMismatch { offset, .. }) => assert_eq!(offset, 0),
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
@@ -421,24 +450,26 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_detected() {
+        // Cut mid-way through the second frame's payload, then mid-way
+        // through its header: a truncation whether the slice itself or
+        // the committed limit is short.
         let mut buf = Vec::new();
         encode_frame(&mut buf, 1, b"first");
+        let first_len = buf.len();
         encode_frame(&mut buf, 1, b"second");
-        // Cut mid-way through the second frame's payload.
-        buf.truncate(buf.len() - 3);
-        match read_all(&buf) {
-            Err(StoreError::TruncatedFrame { .. }) => {}
-            other => panic!("expected truncation, got {other:?}"),
-        }
-        // Cut mid-way through the second frame's header.
-        let mut buf2 = Vec::new();
-        encode_frame(&mut buf2, 1, b"first");
-        let first_len = buf2.len();
-        encode_frame(&mut buf2, 1, b"second");
-        buf2.truncate(first_len + 4);
-        match read_all(&buf2) {
-            Err(StoreError::TruncatedFrame { .. }) => {}
-            other => panic!("expected truncation, got {other:?}"),
+        for cut in [buf.len() - 3, first_len + 4] {
+            match read_all(&buf[..cut], cut as u64) {
+                Err(StoreError::TruncatedFrame { offset, .. }) => {
+                    assert_eq!(offset, first_len as u64)
+                }
+                other => panic!("expected truncation at cut {cut}, got {other:?}"),
+            }
+            match read_all(&buf, cut as u64) {
+                Err(StoreError::TruncatedFrame { offset, .. }) => {
+                    assert_eq!(offset, first_len as u64)
+                }
+                other => panic!("expected truncation at limit {cut}, got {other:?}"),
+            }
         }
     }
 
@@ -450,7 +481,7 @@ mod tests {
         buf.extend_from_slice(&0u32.to_le_bytes());
         // Pad so the header itself is readable under a large limit.
         buf.extend_from_slice(&[0u8; 32]);
-        let mut r = FrameReader::new(&buf[..], Path::new("t"), u32::MAX as u64 + 64);
+        let mut r = SliceFrameReader::new(&buf, Path::new("t"), u32::MAX as u64 + 64);
         match r.next_frame() {
             Err(StoreError::Codec { .. }) => {}
             other => panic!("expected codec error, got {other:?}"),
@@ -460,83 +491,73 @@ mod tests {
     #[test]
     fn limit_hides_uncommitted_tail() {
         let mut buf = Vec::new();
-        let committed = encode_frame(&mut buf, 1, b"committed");
-        encode_frame(&mut buf, 1, b"uncommitted garbage");
-        let mut r = FrameReader::new(&buf[..], Path::new("t"), committed);
-        assert_eq!(r.next_frame().unwrap().unwrap().payload, b"committed");
-        assert!(r.next_frame().unwrap().is_none());
-    }
-
-    /// Drain a `SliceFrameReader`, returning owned frames for comparison.
-    fn slice_read_all(bytes: &[u8], limit: u64) -> Result<Vec<Frame>, StoreError> {
-        let mut r = SliceFrameReader::new(bytes, Path::new("test.seg"), limit);
-        let mut out = Vec::new();
-        while let Some(f) = r.next_frame()? {
-            out.push(Frame {
-                kind: f.kind,
-                payload: f.payload.to_vec(),
-                offset: f.offset,
-            });
-        }
-        Ok(out)
-    }
-
-    #[test]
-    fn slice_reader_matches_stream_reader_on_clean_input() {
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, 1, b"hello");
+        encode_frame(&mut buf, 1, b"committed");
+        let first = buf.len() as u64;
         encode_frame(&mut buf, 2, b"");
         let committed = buf.len() as u64;
         encode_frame(&mut buf, 1, b"uncommitted garbage");
-        let streamed = {
-            let mut r = FrameReader::new(&buf[..], Path::new("test.seg"), committed);
-            let mut out = Vec::new();
-            while let Some(f) = r.next_frame().unwrap() {
-                out.push(f);
-            }
-            out
-        };
-        let sliced = slice_read_all(&buf, committed).unwrap();
-        assert_eq!(streamed, sliced);
+        let frames = read_all(&buf, committed).unwrap();
+        let want = [
+            FrameSlice {
+                kind: 1,
+                payload: b"committed",
+                offset: 0,
+            },
+            FrameSlice {
+                kind: 2,
+                payload: b"",
+                offset: first,
+            },
+        ];
+        assert_eq!(frames, want);
     }
 
     #[test]
-    fn slice_reader_errors_match_stream_reader_errors() {
-        // Bit-flipped payload → ChecksumMismatch at the same offset.
+    fn committed_file_reads_exact_ranges() {
+        let dir = crate::testutil::scratch_dir("frame-committed-file");
+        let path = dir.join("f.seg");
+        let missing = CommittedFile::open(&path, 0);
+        assert!(matches!(missing, Err(StoreError::SegmentMissing { .. })));
         let mut buf = Vec::new();
-        encode_frame(&mut buf, 1, b"payload-bytes");
-        let last = buf.len() - 1;
-        buf[last] ^= 0x01;
-        match slice_read_all(&buf, buf.len() as u64) {
-            Err(StoreError::ChecksumMismatch { offset, .. }) => assert_eq!(offset, 0),
-            other => panic!("expected checksum mismatch, got {other:?}"),
-        }
-        // Cut mid-payload and mid-header → TruncatedFrame, as the stream
-        // reader reports, whether the limit or the slice itself is short.
+        let first = encode_frame(&mut buf, 1, b"hello");
+        let second = encode_frame(&mut buf, 2, &[0xAB; 300]);
+        fs::write(&path, &buf).unwrap();
+        let short = CommittedFile::open(&path, first + second + 1);
+        assert!(matches!(short, Err(StoreError::SegmentTruncated { .. })));
+        // Committed bytes that end inside the second frame bound every read.
+        let mut f = CommittedFile::open(&path, first + 20).unwrap();
+        assert_eq!(f.frame_end(0).unwrap(), first);
+        let got = f.read(1..first).unwrap();
+        assert_eq!((got.len(), got.capacity()), (first as usize - 1, got.len()));
+        assert_eq!(got, &buf[1..first as usize]);
+        assert!(f.read(first..first).unwrap().is_empty());
+        let end = f.frame_end(first).unwrap();
+        assert!(matches!(
+            f.read(first..end),
+            Err(StoreError::TruncatedFrame { offset, .. }) if offset == first
+        ));
+        // A file cut short after it was opened.
+        fs::write(&path, &buf[..12]).unwrap();
+        assert!(matches!(
+            f.read(0..first),
+            Err(StoreError::TruncatedFrame { offset: 0, .. })
+        ));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn decode_next_names_the_frame_it_wanted() {
         let mut buf = Vec::new();
-        encode_frame(&mut buf, 1, b"first");
-        let first_len = buf.len() as u64;
-        encode_frame(&mut buf, 1, b"second");
-        for cut in [buf.len() - 3, first_len as usize + 4] {
-            match slice_read_all(&buf[..cut], cut as u64) {
-                Err(StoreError::TruncatedFrame { .. }) => {}
-                other => panic!("expected truncation at cut {cut}, got {other:?}"),
-            }
-            match slice_read_all(&buf, cut as u64) {
-                Err(StoreError::TruncatedFrame { .. }) => {}
-                other => panic!("expected truncation at limit {cut}, got {other:?}"),
-            }
-        }
-        // Implausible declared length → Codec error.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.push(1);
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 32]);
-        let mut r = SliceFrameReader::new(&buf, Path::new("t"), u32::MAX as u64 + 64);
-        match r.next_frame() {
-            Err(StoreError::Codec { .. }) => {}
-            other => panic!("expected codec error, got {other:?}"),
-        }
+        encode_frame(&mut buf, 1, &codec::to_vec(&7u64));
+        encode_frame(&mut buf, 1, &[0xFF]);
+        let mut r = SliceFrameReader::new(&buf, Path::new("t"), buf.len() as u64);
+        assert!(matches!(
+            r.decode_next::<u64>(2, "a block entry"),
+            Err(StoreError::Codec { detail, .. }) if detail.contains("kind 1 is not a block entry")
+        ));
+        let mut r = SliceFrameReader::new(&buf, Path::new("t"), buf.len() as u64);
+        assert_eq!(r.decode_next::<u64>(1, "a count").unwrap(), 7);
+        assert!(r.decode_next::<u64>(1, "a count").is_err(), "torn varint");
+        assert!(r.decode_next::<u64>(1, "a count").is_err(), "no frame");
     }
 }

@@ -126,7 +126,6 @@ pub mod bloom;
 pub mod error;
 pub mod frame;
 pub mod manifest;
-pub mod mmap;
 pub mod planner;
 pub mod postings;
 pub mod reader;
@@ -138,9 +137,8 @@ pub mod writer;
 
 pub use bloom::{kind_of, kind_tag, BloomQuery, LogBloom, BLOOM_BITS};
 pub use error::StoreError;
-pub use frame::{encode_frame, Frame, FrameReader, FrameSlice, SliceFrameReader};
+pub use frame::{encode_frame, FrameSlice, SliceFrameReader};
 pub use manifest::{Manifest, ManifestChange, SegmentMeta, FORMAT_VERSION, MANIFEST_FILE};
-pub use mmap::Mmap;
 pub use planner::{plan_aggregate, plan_logs, GroupBy};
 pub use postings::{index_file_name, sidecar_file_name, IndexBuilder, IndexMeta, SegmentIndex};
 pub use reader::{AggregateKey, AggregateRow, StoreReader, VerifyReport};

@@ -21,9 +21,11 @@
 //! `postings.addrs[addr_id]` with no hashing at query time.
 //!
 //! The postings frame carries byte offsets of every row-chunk frame
-//! *relative to the end of the postings frame*, so an address-history
-//! query seeks straight to the chunks it needs and reads **zero**
-//! segment data frames. An opened [`SegmentIndex`] keeps each row chunk
+//! *relative to the end of the postings frame*, so a chunk's byte range
+//! is known before it is read: an address-history query reads the
+//! ranges of the chunks it needs, one seek and one read each, and
+//! **zero** segment data frames. Opening a sidecar reads the header and
+//! postings frames alone. An opened [`SegmentIndex`] keeps each row chunk
 //! once it has been read, CRC-checked and decoded, and the reader's
 //! segment cache keeps the opened index while it has room for it, so a
 //! warm postings-planned query reads nothing from disk at all. Query stats stay logical either way:
@@ -44,14 +46,14 @@
 //! the run of those entries would hold.
 
 use crate::error::StoreError;
-use crate::frame::{encode_frame, Frame, FrameReader};
+use crate::frame::{encode_frame, CommittedFile, SliceFrameReader};
 use crate::manifest::{SegmentMeta, FORMAT_VERSION};
 use crate::segment::{read_segment, BlockEntry};
 use mev_chain::{EventKind, LogFilter};
 use mev_types::codec::{Decode, DecodeError, Encode, Reader};
 use mev_types::{Address, Interner, Log, Receipt, TxHash};
 use std::fs;
-use std::io::{BufReader, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -282,11 +284,6 @@ fn codec(path: &Path, detail: String) -> StoreError {
         path: path.to_path_buf(),
         detail,
     }
-}
-
-fn decode_payload<T: Decode>(path: &Path, frame: &Frame) -> Result<T, StoreError> {
-    mev_types::codec::from_slice(&frame.payload)
-        .map_err(|e| codec(path, format!("index frame at byte {}: {e}", frame.offset)))
 }
 
 /// `postings.addrs` as `(address, AddrId)` pairs sorted by address.
@@ -596,38 +593,13 @@ impl SegmentIndex {
             )
         })?;
         let path = root.join(&im.file);
-        let file = match fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::SegmentMissing { path })
-            }
-            Err(e) => return Err(StoreError::io("open index", &path, e)),
-        };
-        let actual = file
-            .metadata()
-            .map_err(|e| StoreError::io("stat index", &path, e))?
-            .len();
-        if actual < im.bytes {
-            return Err(StoreError::SegmentTruncated {
-                path,
-                committed: im.bytes,
-                actual,
-            });
-        }
-        let mut reader = FrameReader::new(BufReader::new(file), &path, im.bytes);
-        let header_frame = reader
-            .next_frame()?
-            .ok_or_else(|| codec(&path, "index has no header frame".to_string()))?;
-        if header_frame.kind != FRAME_INDEX_HEADER {
-            return Err(codec(
-                &path,
-                format!(
-                    "first frame kind {} is not an index header",
-                    header_frame.kind
-                ),
-            ));
-        }
-        let header: IndexHeader = decode_payload(&path, &header_frame)?;
+        // The header and postings frames, read as one range once their
+        // length fields are known; the row chunks stay on disk.
+        let mut file = CommittedFile::open(&path, im.bytes)?;
+        let data_start = file.frame_end(0).and_then(|end| file.frame_end(end))?;
+        let bytes = file.read(0..data_start)?;
+        let mut reader = SliceFrameReader::new(&bytes, &path, data_start);
+        let header: IndexHeader = reader.decode_next(FRAME_INDEX_HEADER, "an index header")?;
         if header.version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: header.version,
@@ -656,19 +628,7 @@ impl SegmentIndex {
                 ),
             ));
         }
-        let postings_frame = reader
-            .next_frame()?
-            .ok_or_else(|| codec(&path, "index has no postings frame".to_string()))?;
-        if postings_frame.kind != FRAME_POSTINGS {
-            return Err(codec(
-                &path,
-                format!(
-                    "second frame kind {} is not a postings table",
-                    postings_frame.kind
-                ),
-            ));
-        }
-        let postings: PostingsTable = decode_payload(&path, &postings_frame)?;
+        let postings: PostingsTable = reader.decode_next(FRAME_POSTINGS, "a postings table")?;
         let want_chunks = header.rows.div_ceil(header.chunk_rows as u64);
         if postings.addrs.len() != postings.by_addr_kind.len()
             || postings.by_kind.len() != KIND_SLOTS
@@ -687,7 +647,7 @@ impl SegmentIndex {
             postings,
             path,
             committed_bytes: im.bytes,
-            data_start: reader.offset(),
+            data_start,
             pages_read: 2,
         })
     }
@@ -739,7 +699,11 @@ impl SegmentIndex {
 
     /// Row chunk `chunk_no`: kept from an earlier read, or read through
     /// `file` (opened here on first need), checked, decoded and kept.
-    fn chunk(&self, file: &mut Option<fs::File>, chunk_no: u32) -> Result<&RowChunk, StoreError> {
+    fn chunk(
+        &self,
+        file: &mut Option<CommittedFile>,
+        chunk_no: u32,
+    ) -> Result<&RowChunk, StoreError> {
         let slot = self
             .chunks
             .get(chunk_no as usize)
@@ -749,10 +713,7 @@ impl SegmentIndex {
         }
         let f = match file {
             Some(f) => f,
-            None => file.insert(
-                fs::File::open(&self.path)
-                    .map_err(|e| StoreError::io("open index", &self.path, e))?,
-            ),
+            None => file.insert(CommittedFile::open(&self.path, self.committed_bytes)?),
         };
         let chunk = self.read_chunk(f, chunk_no)?;
         // A concurrent reader may have filled the slot meanwhile; both
@@ -760,35 +721,26 @@ impl SegmentIndex {
         Ok(slot.get_or_init(|| chunk))
     }
 
-    fn read_chunk(&self, file: &mut fs::File, chunk_no: u32) -> Result<RowChunk, StoreError> {
-        let rel = *self
-            .postings
-            .chunk_offsets
+    /// Read chunk `chunk_no`'s byte range — from its offset to the next
+    /// chunk's, or to the committed bytes for the last — and decode it.
+    fn read_chunk(&self, file: &mut CommittedFile, chunk_no: u32) -> Result<RowChunk, StoreError> {
+        let offsets = &self.postings.chunk_offsets;
+        let rel = *offsets
             .get(chunk_no as usize)
             .ok_or_else(|| codec(&self.path, format!("chunk {chunk_no} out of range")))?;
-        let abs = self.data_start + rel;
-        if abs >= self.committed_bytes {
+        let start = self.data_start + rel;
+        let end = offsets
+            .get(chunk_no as usize + 1)
+            .map_or(self.committed_bytes, |next| self.data_start + next);
+        if start >= end.min(self.committed_bytes) {
             return Err(codec(
                 &self.path,
-                format!("chunk {chunk_no} offset {abs} past committed bytes"),
+                format!("chunk {chunk_no} offset {start} past committed bytes"),
             ));
         }
-        file.seek(SeekFrom::Start(abs))
-            .map_err(|e| StoreError::io("seek index chunk", &self.path, e))?;
-        let mut reader = FrameReader::new(file, &self.path, self.committed_bytes - abs);
-        let frame = reader
-            .next_frame()?
-            .ok_or_else(|| codec(&self.path, format!("chunk {chunk_no} frame missing")))?;
-        if frame.kind != FRAME_ROW_CHUNK {
-            return Err(codec(
-                &self.path,
-                format!(
-                    "frame kind {} at chunk {chunk_no} is not a row chunk",
-                    frame.kind
-                ),
-            ));
-        }
-        let chunk: RowChunk = decode_payload(&self.path, &frame)?;
+        let bytes = file.read(start..end)?;
+        let chunk: RowChunk = SliceFrameReader::new(&bytes, &self.path, bytes.len() as u64)
+            .decode_next(FRAME_ROW_CHUNK, "a row chunk")?;
         let rows = chunk.blocks.len();
         // Either the plain `logs` column or the dictionary pair must be
         // row-parallel (and ids must land inside the address table).
@@ -833,7 +785,7 @@ pub struct RowData {
 pub struct RowReader<'a> {
     index: &'a SegmentIndex,
     /// The sidecar file, opened on the first chunk not yet kept.
-    file: Option<fs::File>,
+    file: Option<CommittedFile>,
     current: Option<(u32, &'a RowChunk)>,
     /// Chunk frames touched so far.
     pub pages_read: u64,

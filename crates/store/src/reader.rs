@@ -12,6 +12,7 @@
 //! + rollup audit).
 
 use crate::error::StoreError;
+use crate::frame::CommittedFile;
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::planner::{self, GroupBy};
 use crate::postings::{IndexBuilder, SegmentIndex};
@@ -350,15 +351,6 @@ impl StoreReader {
             Ok(mut cache) => cache.put_index(meta.index, opened),
             Err(_) => opened,
         })
-    }
-
-    /// Stream every committed segment through `consume`, in height
-    /// order, with read-ahead (see [`StoreReader::stream_segments_mapped`]).
-    pub fn stream_segments<F>(&self, consume: F) -> Result<(), StoreError>
-    where
-        F: FnMut(u64, Arc<Vec<BlockEntry>>),
-    {
-        self.stream_segments_mapped(0..u64::MAX, |_, entries| entries, consume)
     }
 
     /// The streaming read path over the committed segments in `segments`
@@ -883,14 +875,13 @@ impl StoreReader {
                 // (validly) lag `meta.index`.
                 let idx = SegmentIndex::open(&self.root, meta)?;
                 let idx_path = self.root.join(&im.file);
-                let committed = std::fs::read(&idx_path)
-                    .map_err(|e| StoreError::io("read index", &idx_path, e))?;
+                let committed = CommittedFile::open(&idx_path, im.bytes)?.read(0..im.bytes)?;
                 // Sidecar encoding is deterministic, so a byte compare
                 // against a rebuild from the (already checksummed)
                 // entries proves the index reproduces the data exactly.
                 let rebuilt =
                     builder.encode_with(idx.header.segment, meta.first_block, im.dict_addrs);
-                if rebuilt.len() as u64 != im.bytes || !committed.starts_with(&rebuilt) {
+                if committed != rebuilt {
                     return Err(StoreError::ZoneMapMismatch {
                         path: idx_path,
                         detail: "sidecar index differs from a rebuild of its segment".to_string(),
@@ -988,10 +979,14 @@ mod tests {
         let r = StoreReader::open(&dir).unwrap();
         let mut seen: Vec<u64> = Vec::new();
         let mut blocks: Vec<u64> = Vec::new();
-        r.stream_segments(|seg, entries| {
-            seen.push(seg);
-            blocks.extend(entries.iter().map(|e| e.block.header.number));
-        })
+        r.stream_segments_mapped(
+            0..u64::MAX,
+            |_, entries| entries,
+            |seg, entries| {
+                seen.push(seg);
+                blocks.extend(entries.iter().map(|e| e.block.header.number));
+            },
+        )
         .unwrap();
         assert_eq!(seen, vec![0, 1, 2]);
         let expected: Vec<u64> = chain.iter().map(|(b, _)| b.header.number).collect();
@@ -1077,7 +1072,9 @@ mod tests {
                 .unwrap()
                 .with_decode_threads(threads);
             let mut seen: Vec<u64> = Vec::new();
-            let err = r.stream_segments(|seg, _| seen.push(seg)).unwrap_err();
+            let err = r
+                .stream_segments_mapped(0..u64::MAX, |_, e| e, |seg, _| seen.push(seg))
+                .unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1097,7 +1094,8 @@ mod tests {
         StoreWriter::create(&dir, chain.timeline().clone(), 4).unwrap();
         let r = StoreReader::open(&dir).unwrap();
         let mut calls = 0u32;
-        r.stream_segments(|_, _| calls += 1).unwrap();
+        r.stream_segments_mapped(0..u64::MAX, |_, e| e, |_, _| calls += 1)
+            .unwrap();
         assert_eq!(calls, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1464,6 +1462,95 @@ mod tests {
         let (page, stats) = r.get_logs_with_stats(&f).unwrap();
         assert_eq!(stats.plan, QueryPlan::Postings);
         assert_eq!(page.entries, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One sealed 64-block segment of ~1,300 log rows: three row chunks.
+    /// Blocks 56..=63 emit from `A(7)` alone, so its rows all sit in the
+    /// last chunk; `A(1)` emits in every earlier block.
+    fn three_chunk_store(label: &str) -> (PathBuf, ChainStore) {
+        let dir = scratch_dir(label);
+        let tl = mev_types::Timeline::paper_span(100);
+        let mut chain = ChainStore::new(tl.clone());
+        for i in 0..64 {
+            let (block, mut receipts) = crate::testutil::test_block(tl.genesis_number + i, 20);
+            if i >= 56 {
+                for log in receipts.iter_mut().flat_map(|r| r.logs.iter_mut()) {
+                    log.address = Address::from_index(7);
+                }
+            }
+            chain.push(block, receipts);
+        }
+        StoreWriter::create(&dir, tl, 64)
+            .unwrap()
+            .ingest(&chain)
+            .unwrap();
+        (dir, chain)
+    }
+
+    /// Every filter's pages through `r` follow `plan` and hold `chain`'s.
+    fn assert_pages(r: &StoreReader, chain: &ChainStore, filters: &[LogFilter], plan: QueryPlan) {
+        for f in filters {
+            let (entries, stats) = r.pages(f).collect_with_stats().unwrap();
+            assert_eq!(stats.plan, plan, "{f:?}");
+            assert_eq!(entries, chain.pages(f).collect_entries().unwrap(), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn a_damaged_middle_chunk_fails_only_the_queries_that_touch_it() {
+        let (dir, chain) = three_chunk_store("reader-middle-chunk");
+        let path = dir.join("seg-00000.idx");
+        let clean = std::fs::read(&path).unwrap();
+        // Header, postings, then the three chunks: flip chunk 1's middle.
+        let mut walk = crate::SliceFrameReader::new(&clean, &path, clean.len() as u64);
+        let frames: Vec<_> = std::iter::from_fn(|| walk.next_frame().unwrap()).collect();
+        assert_eq!(frames.len(), 5);
+        let mid = frames[3].offset as usize + 9 + frames[3].payload.len() / 2;
+        let mut bytes = clean.clone();
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let genesis = chain.timeline().genesis_number;
+        let a1 = LogFilter::new().address(Address::from_index(1));
+        let touching = [
+            a1.clone(),
+            a1.clone().limit(300),
+            a1.clone().to_block(genesis + 40),
+        ];
+        let untouching = [
+            a1.clone().to_block(genesis + 10),
+            LogFilter::new().address(Address::from_index(7)),
+        ];
+        let r = StoreReader::open(&dir).unwrap();
+        assert_pages(&r, &chain, &touching, QueryPlan::FullScan);
+        assert_pages(&r, &chain, &untouching, QueryPlan::Postings);
+        // Repaired on disk, the damaged chunk serves postings again.
+        std::fs::write(&path, &clean).unwrap();
+        assert_pages(&r, &chain, &touching, QueryPlan::Postings);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_last_chunk_past_the_committed_bytes_degrades_to_a_scan() {
+        let (dir, chain) = three_chunk_store("reader-short-sidecar");
+        let mut m = Manifest::load(&dir).unwrap();
+        // The file keeps every byte; the commit ends inside the last chunk.
+        m.segments[0].postings.as_mut().unwrap().bytes -= 5;
+        crate::SnapshotLog::new(dir.join(crate::MANIFEST_FILE))
+            .snapshot(&m)
+            .unwrap();
+        let r = StoreReader::open(&dir).unwrap();
+        let genesis = chain.timeline().genesis_number;
+        let head = LogFilter::new().address(Address::from_index(1));
+        assert_pages(
+            &r,
+            &chain,
+            &[head.to_block(genesis + 10)],
+            QueryPlan::Postings,
+        );
+        let tail = LogFilter::new().address(Address::from_index(7));
+        assert_pages(&r, &chain, &[tail], QueryPlan::FullScan);
+        assert!(r.verify().is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

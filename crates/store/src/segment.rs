@@ -19,12 +19,11 @@
 
 use crate::bloom::LogBloom;
 use crate::error::StoreError;
-use crate::frame::{seal_frame, FrameSlice, SliceFrameReader, FRAME_HEADER_BYTES};
+use crate::frame::{seal_frame, CommittedFile, SliceFrameReader, FRAME_HEADER_BYTES};
 use crate::manifest::{SegmentMeta, FORMAT_VERSION};
-use crate::mmap::Mmap;
 use crate::postings::{IndexBuilder, IndexMeta};
 use crate::snapshot_log::Syncs;
-use mev_types::codec::{self, Decode, DecodeError, Encode, Reader};
+use mev_types::codec::{Decode, DecodeError, Encode, Reader};
 use mev_types::{Block, Receipt};
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -101,13 +100,6 @@ impl Decode for BlockEntry {
             receipts: Vec::decode(r)?,
         })
     }
-}
-
-fn decode_payload<T: Decode>(path: &Path, frame: &FrameSlice<'_>) -> Result<T, StoreError> {
-    codec::from_slice(frame.payload).map_err(|e| StoreError::Codec {
-        path: path.to_path_buf(),
-        detail: format!("frame at byte {}: {e}", frame.offset),
-    })
 }
 
 /// Open (appending) writer over one segment file, accumulating the zone
@@ -344,51 +336,14 @@ impl SegmentWriter {
 /// entry, bounded by the manifest's committed byte count. Returns the
 /// entries in height order.
 ///
-/// The committed byte image is memory-mapped (buffered fallback when the
-/// platform refuses) and frames are CRC-verified over borrowed slices —
-/// the decode never copies a payload.
+/// The committed bytes are read into one buffer of exactly that length
+/// (`CommittedFile`) and frames are CRC-verified over borrowed slices
+/// of it — the decode never copies a payload.
 pub fn read_segment(root: &Path, meta: &SegmentMeta) -> Result<Vec<BlockEntry>, StoreError> {
     let path = root.join(&meta.file);
-    let file = match fs::File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::SegmentMissing { path })
-        }
-        Err(e) => return Err(StoreError::io("open segment", &path, e)),
-    };
-    let actual = file
-        .metadata()
-        .map_err(|e| StoreError::io("stat segment", &path, e))?
-        .len();
-    if actual < meta.bytes {
-        return Err(StoreError::SegmentTruncated {
-            path,
-            committed: meta.bytes,
-            actual,
-        });
-    }
-    let map = Mmap::map(&file, meta.bytes, &path)?;
-    drop(file);
-    let mut reader = SliceFrameReader::new(map.as_slice(), &path, meta.bytes);
-    let header_frame = match reader.next_frame()? {
-        Some(f) => f,
-        None => {
-            return Err(StoreError::Codec {
-                path,
-                detail: "segment has no header frame".to_string(),
-            })
-        }
-    };
-    if header_frame.kind != FRAME_SEGMENT_HEADER {
-        return Err(StoreError::Codec {
-            path,
-            detail: format!(
-                "first frame kind {} is not a segment header",
-                header_frame.kind
-            ),
-        });
-    }
-    let header: SegmentHeader = decode_payload(&path, &header_frame)?;
+    let bytes = CommittedFile::open(&path, meta.bytes)?.read(0..meta.bytes)?;
+    let mut reader = SliceFrameReader::new(&bytes, &path, meta.bytes);
+    let header: SegmentHeader = reader.decode_next(FRAME_SEGMENT_HEADER, "a segment header")?;
     if header.version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: header.version,
@@ -409,17 +364,8 @@ pub fn read_segment(root: &Path, meta: &SegmentMeta) -> Result<Vec<BlockEntry>, 
     }
     let mut entries: Vec<BlockEntry> = Vec::with_capacity(meta.blocks as usize);
     let mut expected = meta.first_block;
-    while let Some(frame) = reader.next_frame()? {
-        if frame.kind != FRAME_BLOCK_ENTRY {
-            return Err(StoreError::Codec {
-                path,
-                detail: format!(
-                    "unexpected frame kind {} at byte {}",
-                    frame.kind, frame.offset
-                ),
-            });
-        }
-        let entry: BlockEntry = decode_payload(&path, &frame)?;
+    while reader.offset() < meta.bytes {
+        let entry: BlockEntry = reader.decode_next(FRAME_BLOCK_ENTRY, "a block entry")?;
         let number = entry.block.header.number;
         if number != expected {
             return Err(StoreError::ZoneMapMismatch {
@@ -589,7 +535,7 @@ mod tests {
         let meta = segment(&dir, 1, 2).meta().unwrap();
         let path = dir.join(&meta.file);
         let mut bytes = fs::read(&path).unwrap();
-        let old = codec::to_vec(&SegmentHeader {
+        let old = mev_types::codec::to_vec(&SegmentHeader {
             version: 1,
             index: 0,
             first_block: g,

@@ -214,6 +214,10 @@ fn note(size: usize) {
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; every call forwards to `System`"
+)]
 unsafe impl GlobalAlloc for AllocProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

@@ -462,16 +462,6 @@ impl StoreWriter {
     /// point leaves the old manifest fully live and the next open sweeps
     /// the orphaned tier files.
     pub fn compact(&mut self, factor: u64) -> Result<CompactionStats, StoreError> {
-        self.compact_opts(factor, true)
-    }
-
-    /// [`StoreWriter::compact`] with an explicit choice of sidecar
-    /// encoding for the rebuilt tiers.
-    pub fn compact_opts(
-        &mut self,
-        factor: u64,
-        dict_addrs: bool,
-    ) -> Result<CompactionStats, StoreError> {
         let _t = mev_obs::span("store.compact.ns");
         // Start from a committed state so the manifest we rewrite is the
         // one on disk and the tail's committed meta is current.
@@ -537,7 +527,7 @@ impl StoreWriter {
                 }
                 stats.segments_merged += 1;
             }
-            let sidecar = w.write_index(&self.root, dict_addrs)?;
+            let sidecar = w.write_index(&self.root, true)?;
             let Some(meta) = w.meta() else {
                 return Err(StoreError::ManifestInvalid {
                     detail: format!("compacted tier {pos} sealed empty"),

@@ -1,10 +1,10 @@
-//! Property tests for the store frame codec (ISSUE 4 satellite):
+//! Property tests for the store frame codec:
 //! encode→decode round-trips for blocks/receipts/logs, corrupted
 //! checksums rejected as *errors* (never panics), truncated tails
 //! detected on open. Each property runs 256 seeded cases;
 //! `FRAME_SEED=<seed>` replays one.
 
-use mev_store::frame::{encode_frame, FrameReader, FRAME_HEADER_BYTES};
+use mev_store::frame::{encode_frame, SliceFrameReader, FRAME_HEADER_BYTES};
 use mev_store::segment::BlockEntry;
 use mev_store::testutil::test_block;
 use mev_store::StoreError;
@@ -14,10 +14,10 @@ use mev_types::{Address, Log, LogEvent, TokenId};
 use std::path::Path;
 
 fn read_all(bytes: &[u8], limit: u64) -> Result<Vec<(u8, Vec<u8>)>, StoreError> {
-    let mut r = FrameReader::new(bytes, Path::new("prop.seg"), limit);
+    let mut r = SliceFrameReader::new(bytes, Path::new("prop.seg"), limit);
     let mut out = Vec::new();
     while let Some(f) = r.next_frame()? {
-        out.push((f.kind, f.payload));
+        out.push((f.kind, f.payload.to_vec()));
     }
     Ok(out)
 }

@@ -1,20 +1,17 @@
-//! Properties of the zero-copy (mmap) segment read path.
+//! Properties of the segment read path.
 //!
-//! `read_segment` maps the committed prefix of a segment file and
-//! decodes borrowed frames out of it. These tests pin the two contracts
-//! the tentpole rests on: the mapped path is **bit-identical** to a
-//! buffered [`FrameReader`] walk of the same file, and every corruption
-//! shape — truncation, bit flips anywhere in the image, an implausible
-//! length field — surfaces as the same [`StoreError`] variants the
-//! buffered path reports, never a panic and never an out-of-bounds
-//! access (the committed length is stat-checked before the map, so the
-//! reader's limit always fits the file).
+//! `read_segment` reads a segment's committed bytes into one buffer and
+//! decodes borrowed frames out of it. These tests pin its contracts: the
+//! entries it returns re-encode to exactly the payloads a
+//! [`SliceFrameReader`] walk of the file's bytes finds, and every
+//! corruption shape — truncation, bit flips anywhere in the image, an
+//! implausible length field — surfaces as a [`StoreError`], never a
+//! panic, while bytes past the committed length are never read.
 
 use mev_store::segment::read_segment;
 use mev_store::testutil::{scratch_dir, test_chain};
-use mev_store::{Frame, FrameReader, Manifest, StoreError, StoreReader, StoreWriter};
+use mev_store::{Manifest, SliceFrameReader, StoreError, StoreReader, StoreWriter};
 use std::fs;
-use std::path::Path;
 
 fn build(label: &str, blocks: u64, segment_blocks: u64) -> std::path::PathBuf {
     let dir = scratch_dir(label);
@@ -25,30 +22,21 @@ fn build(label: &str, blocks: u64, segment_blocks: u64) -> std::path::PathBuf {
     dir
 }
 
-/// Decode every committed frame of a file through the buffered reader.
-fn buffered_frames(path: &Path, committed: u64) -> Vec<Frame> {
-    let file = fs::File::open(path).expect("open segment");
-    let mut r = FrameReader::new(std::io::BufReader::new(file), path, committed);
-    let mut out = Vec::new();
-    while let Some(f) = r.next_frame().expect("committed frame") {
-        out.push(f);
-    }
-    out
-}
-
 #[test]
-fn mapped_decode_is_bit_identical_to_buffered_decode() {
-    let dir = build("mmap-prop-identity", 11, 3);
+fn read_entries_re_encode_to_the_committed_frames() {
+    let dir = build("segment-read-prop-identity", 11, 3);
     let manifest = Manifest::load(&dir).unwrap();
     assert!(manifest.segments.len() >= 3);
     for meta in &manifest.segments {
         let path = dir.join(&meta.file);
-        // The buffered walk decodes the same committed byte range the
-        // mmap path hands to `SliceFrameReader`.
-        let frames = buffered_frames(&path, meta.bytes);
-        assert!(!frames.is_empty());
-        // The mapped walk reaches entry level; re-encode each entry and
-        // compare against the buffered frames' payloads byte for byte.
+        let bytes = fs::read(&path).unwrap();
+        let mut frames = Vec::new();
+        let mut walk = SliceFrameReader::new(&bytes, &path, meta.bytes);
+        while let Some(f) = walk.next_frame().expect("committed frame") {
+            frames.push(f);
+        }
+        // Re-encode each entry `read_segment` returns and compare it
+        // with the walked frames' payloads byte for byte.
         let entries = read_segment(&dir, meta).unwrap();
         assert_eq!(frames.len(), entries.len() + 1, "header frame + entries");
         for (frame, entry) in frames.iter().skip(1).zip(entries.iter()) {
@@ -64,8 +52,8 @@ fn mapped_decode_is_bit_identical_to_buffered_decode() {
 }
 
 #[test]
-fn truncated_segment_fails_like_the_buffered_path() {
-    let dir = build("mmap-prop-truncate", 9, 4);
+fn truncated_segment_is_refused() {
+    let dir = build("segment-read-prop-truncate", 9, 4);
     let manifest = Manifest::load(&dir).unwrap();
     let meta = &manifest.segments[0];
     let path = dir.join(&meta.file);
@@ -101,8 +89,8 @@ fn truncated_segment_fails_like_the_buffered_path() {
 }
 
 #[test]
-fn bitflips_anywhere_fail_with_the_buffered_variants_and_never_panic() {
-    let dir = build("mmap-prop-bitflip", 7, 4);
+fn bitflips_anywhere_are_errors_and_never_panic() {
+    let dir = build("segment-read-prop-bitflip", 7, 4);
     let manifest = Manifest::load(&dir).unwrap();
     let meta = &manifest.segments[0];
     let path = dir.join(&meta.file);
@@ -121,7 +109,7 @@ fn bitflips_anywhere_fail_with_the_buffered_variants_and_never_panic() {
             // in a length field it can also read as an implausible
             // length or a frame crossing the committed limit. Decoded-
             // but-wrong headers surface as zone-map mismatches. All are
-            // errors; none are panics or UB.
+            // errors; none are panics.
             Err(StoreError::ChecksumMismatch { .. })
             | Err(StoreError::Codec { .. })
             | Err(StoreError::TruncatedFrame { .. })
@@ -136,13 +124,13 @@ fn bitflips_anywhere_fail_with_the_buffered_variants_and_never_panic() {
 }
 
 #[test]
-fn uncommitted_tail_bytes_are_invisible_to_the_mapped_reader() {
-    let dir = build("mmap-prop-tail-garbage", 8, 4);
+fn uncommitted_tail_bytes_are_never_read() {
+    let dir = build("segment-read-prop-tail-garbage", 8, 4);
     let manifest = Manifest::load(&dir).unwrap();
     let meta = &manifest.segments[0];
     let path = dir.join(&meta.file);
     // Garbage past the committed length — crash residue — must not
-    // affect decoding: the map is clamped to `meta.bytes`.
+    // affect decoding: the read stops at `meta.bytes`.
     let mut bytes = fs::read(&path).unwrap();
     let clean = read_segment(&dir, meta).unwrap();
     bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0xFF]);

@@ -27,6 +27,11 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every call is forwarded unchanged to the system allocator.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; every call forwards to `System`"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
